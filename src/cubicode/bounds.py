@@ -5,14 +5,17 @@ Optimality here means: the bound holds at d but fails at d + 1, so no
 [N, K, d+1]_3 code exists and d is the largest minimum distance any ternary
 code of this length and dimension can have.
 
-The dual certificate is elementary.  No dual word of weight 1 exists
-because every coordinate of the defining set carries a generator value
-that no single Lee-weight-1 scalar annihilates (checked by exhaustion).
-A dual word of weight 2 always exists: with coordinate 0 the ring element
-1 and coordinate q the element u (the canonical ordering guarantees
-both), the value pair (1, 2u^2) at those positions annihilates every
-ev(a), since Tr(a) + 2u^2 Tr(a u) = Tr(a)(1 + 2u^3) = 0.  Hence the dual
-distance is exactly 2.  The same conclusion falls out of sphere packing:
+The dual certificate is elementary and is checked on the generator
+matrix G of the built image.  A ternary word t e_p of weight 1 lies in
+the dual iff column p of G is zero, so "G has no all-zero column" rules
+out every weight-1 dual word at once.  A dual word of weight 2 always
+exists: with coordinate 0 the ring element 1 and coordinate q the element
+u (the canonical ordering guarantees both), the value pair (1, 2u^2) at
+those positions annihilates every ev(a), since
+Tr(a) + 2u^2 Tr(a u) = Tr(a)(1 + 2u^3) = 0; on the Gray image it is the
+trit 1 on the first slot of triple 0 and the trit 2 on the middle slot of
+triple q, and that word is checked against every row of G.  Hence the
+dual distance is exactly 2.  The same conclusion falls out of sphere packing:
 the dual is a [N, N - 3m] code, and correcting even one error would need
 3^{N - 3m} (1 + 2N) <= 3^N, i.e. 1 + 2N <= 3^{3m}, which fails for every
 m >= 1 because N = (3^m - 1) 3^{2m+1} / 2 (or twice that) is already at
@@ -23,17 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain_ring import (
-    KIND_LPRIME,
-    Triple,
-    code_length,
-    defining_set,
-    get_ring,
-    weight_one_scalars,
-)
-from .trace_code import CodeSpec, evaluate, ring_basis
+import numpy as np
 
-DUAL_MAX_M = 2
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
+from .trace_code import CodeSpec, build_code, gray_positions
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +84,7 @@ def closed_form_sum_d_plus_1(m: int, kind: str) -> tuple[tuple[int, ...], int]:
     2(3^{3m-j} - 3^{2m-j}) + 1 for j <= 2m, then 2 * 3^{3m-j}; the total
     collapses to N + 2m - 1, one lower than lprime relative to N, because
     the doubled geometric tails absorb an extra unit.  Both totals are
-    asserted against griesmer_sum.
+    checked against griesmer_sum.
     """
     K = 3 * m
     if kind == KIND_LPRIME:
@@ -111,7 +107,8 @@ def closed_form_sum_d_plus_1(m: int, kind: str) -> tuple[tuple[int, ...], int]:
             for j in range(K)
         )
     total = sum(terms)
-    assert total == griesmer_sum(K, d1), "per-term expansion must match the direct sum"
+    if total != griesmer_sum(K, d1):
+        raise ArithmeticError("per-term expansion disagrees with the direct Griesmer sum")
     return terms, total
 
 
@@ -144,66 +141,32 @@ class DualWitness:
     weight1_exhausted: bool
 
 
-def _gray_positions(word_index: int, layout: str, n: int) -> tuple[int, int, int]:
-    if layout == "interleaved":
-        return (3 * word_index, 3 * word_index + 1, 3 * word_index + 2)
-    return (word_index, n + word_index, 2 * n + word_index)
-
-
 def dual_weight_search(spec: CodeSpec, wmax: int = 2) -> DualWitness:
-    """Certify the dual distance by exhaustion at weight 1 and a witness at 2.
+    """Certify the dual distance on the generator matrix G of the image.
 
-    The pairing between the ternary image and a ring scalar s = s1 + s2 u
-    + s3 u^2 placed at set position i goes through the first standard
-    coefficient of ev(a)_i * s, the functional a s1 + b s3 + c s2 on the
-    Gray triple (a, b, c).  The six Lee-weight-1 scalars therefore sweep
-    all six weight-1 ternary words on a triple, and a ring relation
-    sum_i ev(a)_i s_i = 0 projects to a ternary dual word whose trits at
-    triple i are (s1, s3, s2).
+    Weight 1 is exhausted by "G has no all-zero column": that covers every
+    weight-1 ternary word.  Weight 2 is certified by the word with trit 1
+    at the first Gray slot of set position 0 (the element 1) and trit 2 at
+    the middle slot of set position q (the element u), the image of the
+    ring relation ev(a)_1 + 2u^2 ev(a)_u = 0; it must annihilate every
+    row of G.
     """
-    if spec.m > DUAL_MAX_M:
-        raise ValueError(f"dual search is exhaustive, capped at m <= {DUAL_MAX_M}")
+    require_scope("dual search", spec.m)
     if wmax < 2:
         raise ValueError("searches below weight 2 cannot terminate with a certificate")
-    ring = get_ring(spec.m)
-    dset = defining_set(spec.m, spec.set_kind)
-    basis_words = [evaluate(g, dset) for g in ring_basis(spec.m)]
-    n = len(dset)
-
-    for i in range(n):
-        for s in weight_one_scalars():
-            if all(ring.mul(w[i], s)[0] == 0 for w in basis_words):
-                raise AssertionError(
-                    f"unexpected weight-1 dual word at set position {i}, scalar {s}"
-                )
-
-    # weight 2: coordinate 0 holds the ring element 1 and coordinate q holds
-    # u, and ev(a) at u is u ev(a) at 1, so 1 * ev(a)_0 + 2u^2 * ev(a)_q =
-    # (1 + 2u^3) Tr(a) = 0.
-    q = ring.field.q
-    assert dset.elements[0] == ring.one and dset.elements[q] == ring.u
-    vals: list[tuple[int, Triple]] = [(0, (1, 0, 0)), (q, (0, 0, 2))]
-    for w in basis_words:
-        acc = ring.zero
-        for i, s in vals:
-            acc = ring.add(acc, ring.mul(w[i], s))
-        assert acc == ring.zero, "weight-2 witness failed to annihilate a generator"
-
-    witness = []
-    for i, s in vals:
-        s1, s2, s3 = s
-        positions = _gray_positions(i, spec.layout, n)
-        witness += [(p, t) for p, t in zip(positions, (s1, s3, s2)) if t]
-    assert len(witness) == 2
-
-    # authoritative check in the ternary category: the witness annihilates
-    # every generator row of the built image
-    from .trace_code import build_code
-
     G = build_code(spec).generators
-    for row in G:
-        assert sum(int(row[p]) * t for p, t in witness) % 3 == 0
-    return DualWitness(distance=2, witness=tuple(witness), weight1_exhausted=True)
+    zero_columns = np.flatnonzero(~G.any(axis=0))
+    if len(zero_columns):
+        raise ArithmeticError(f"unexpected weight-1 dual word at Gray position {zero_columns[0]}")
+    n = G.shape[1] // 3
+    q = 3**spec.m
+    witness = (
+        (gray_positions(0, spec.layout, n)[0], 1),
+        (gray_positions(q, spec.layout, n)[1], 2),
+    )
+    if any(sum(int(row[p]) * t for p, t in witness) % 3 for row in G):
+        raise ArithmeticError("weight-2 witness failed to annihilate a generator")
+    return DualWitness(distance=2, witness=witness, weight1_exhausted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +191,9 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
 
     The minimum distance comes from the closed-form distribution when one
     is stated, else from exhaustive enumeration.  The dual certificate is
-    attached only in the exhaustively checkable range m <= 2.
+    attached only in the scope of the dual search.
     """
-    from .weight_dist import ENUMERATE_MAX_M, enumerate_distribution, formula_distribution
+    from .weight_dist import enumerate_distribution, formula_distribution
 
     N = code_length(spec.m, spec.set_kind)
     K = 3 * spec.m
@@ -240,7 +203,7 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
         if dist.note:
             notes.append(dist.note)
     except ValueError:
-        if spec.m > ENUMERATE_MAX_M:
+        if spec.m > SCOPE_MAX_M["enumeration"]:
             raise
         dist = enumerate_distribution(spec)
         notes.append("minimum distance obtained by exhaustive enumeration")
@@ -249,8 +212,9 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
     two_weight = spec.set_kind != KIND_LPRIME or spec.m % 2 == 1
     if report.optimal and two_weight:
         _, closed_total = closed_form_sum_d_plus_1(spec.m, spec.set_kind)
-        assert closed_total == report.sum_at_d_plus_1
-    if spec.m <= DUAL_MAX_M:
+        if closed_total != report.sum_at_d_plus_1:
+            raise ArithmeticError("closed-form Griesmer total disagrees with the direct sum")
+    if spec.m <= SCOPE_MAX_M["dual search"]:
         dual = dual_weight_search(spec)
         dual_distance: int | None = dual.distance
         witness: tuple[tuple[int, int], ...] | None = dual.witness

@@ -31,7 +31,24 @@ KIND_LPRIME = "lprime"
 KIND_UNITS = "units"
 KINDS = (KIND_LPRIME, KIND_UNITS)
 
-MAX_MATERIALIZED_M = 3
+# The one scope table: the largest extension degree m each exhaustive or
+# materializing computation accepts.  Enforced through require_scope.
+SCOPE_MAX_M = {
+    "defining set": 3,  # materialized as tuples of triples
+    "exhaustive check": 2,  # injectivity, group action, quasi-cyclic shift
+    "dual search": 2,
+    "enumeration": 3,
+    "character sum": 2,
+    "Gauss periods": 8,
+    "minimality census": 2,  # dimension k = 3m <= 6
+}
+
+
+def require_scope(scope: str, m: int) -> None:
+    """Raise ValueError when m lies above the cap SCOPE_MAX_M sets for scope."""
+    limit = SCOPE_MAX_M[scope]
+    if m > limit:
+        raise ValueError(f"{scope}: supported for m <= {limit}, got m={m}")
 
 
 class ChainRing:
@@ -137,11 +154,6 @@ def get_ring(m: int) -> ChainRing:
     return ChainRing(get_field(m))
 
 
-def weight_one_scalars() -> tuple[Triple, ...]:
-    """The six Lee-weight-1 scalars alpha * u^j of the base ring."""
-    return ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2))
-
-
 # ---------------------------------------------------------------------------
 # defining sets
 
@@ -181,10 +193,7 @@ def code_length(m: int, kind: str) -> int:
 def defining_set(m: int, kind: str) -> DefiningSet:
     if kind not in KINDS:
         raise ValueError(f"unknown defining set kind {kind!r}")
-    if m > MAX_MATERIALIZED_M:
-        raise ValueError(
-            f"defining sets are materialized only for m <= {MAX_MATERIALIZED_M}, got m={m}"
-        )
+    require_scope("defining set", m)
     ring = get_ring(m)
     F = ring.field
     x1_values = F.squares() if kind == KIND_LPRIME else tuple(range(1, F.q))
@@ -194,5 +203,6 @@ def defining_set(m: int, kind: str) -> DefiningSet:
             for x3 in range(F.q):
                 nil.append((x1, x2, x3))
                 std.append(ring.from_nilpotent((x1, x2, x3)))
-    assert len(std) == defining_set_size(m, kind)
+    if len(std) != defining_set_size(m, kind):
+        raise ArithmeticError(f"materialized {len(std)} elements, not |L| for m={m} {kind}")
     return DefiningSet(kind=kind, m=m, elements=tuple(std), nilpotent=tuple(nil))

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .bounds import (
     closed_form_sum_d_plus_1,
@@ -252,52 +253,46 @@ class Claim:
     note: str | None = None
 
 
-def _claim(claims: list[Claim], cid: str, build) -> None:
-    """Run one claim builder, recording an honest mismatch on any blowup."""
+def _claim(cid: str, build) -> Claim:
+    """Run one claim builder, recording an honest mismatch on any blowup.
+
+    A builder returns the Claim fields expected and computed, and
+    optionally checked (the part of the computation compared with
+    expected, computed itself by default), or a status and note of its own.
+    """
     try:
-        claims.append(build())
+        fields = build()
     except Exception as exc:  # noqa: BLE001 - a failed claim must not hide others
-        claims.append(
-            Claim(id=cid, expected="computation to succeed", computed=f"error: {exc}", status="mismatch")
-        )
+        return Claim(id=cid, expected="computation to succeed", computed=f"error: {exc}", status="mismatch")
+    checked = fields.pop("checked", fields["computed"])
+    fields.setdefault("status", "match" if checked == fields["expected"] else "mismatch")
+    return Claim(id=cid, **fields)
 
 
-def _table_claim(kind: str, m: int) -> Claim:
-    expected = REFERENCE_TABLES[(kind, m)]
-    got = formula_distribution(CodeSpec(m=m, set_kind=kind)).entries
-    return Claim(
-        id=f"table-{kind}-m{m}",
-        expected=expected,
-        computed=got,
-        status="match" if got == expected else "mismatch",
-    )
+def _table_claim(kind: str, m: int) -> dict:
+    return {
+        "expected": REFERENCE_TABLES[(kind, m)],
+        "computed": formula_distribution(CodeSpec(m=m, set_kind=kind)).entries,
+    }
 
 
-def _enum_formula_claim(kind: str, m: int, threads: int) -> Claim:
+def _enum_formula_claim(kind: str, m: int, threads: int) -> dict:
     spec = CodeSpec(m=m, set_kind=kind)
-    expected = formula_distribution(spec).entries
-    got = enumerate_distribution(spec, threads=threads).entries
-    return Claim(
-        id=f"enum-vs-formula-{kind}-m{m}",
-        expected=expected,
-        computed=got,
-        status="match" if got == expected else "mismatch",
-    )
+    return {
+        "expected": formula_distribution(spec).entries,
+        "computed": enumerate_distribution(spec, threads=threads).entries,
+    }
 
 
-def _charsum_claim(kind: str, m: int) -> Claim:
+def _charsum_claim(kind: str, m: int) -> dict:
     spec = CodeSpec(m=m, set_kind=kind)
-    expected = enumerate_distribution(spec).entries
-    got = charsum_distribution(spec).entries
-    return Claim(
-        id=f"charsum-vs-enum-{kind}-m{m}",
-        expected=expected,
-        computed=got,
-        status="match" if got == expected else "mismatch",
-    )
+    return {
+        "expected": enumerate_distribution(spec).entries,
+        "computed": charsum_distribution(spec).entries,
+    }
 
 
-def _gauss_claim(m: int) -> Claim:
+def _gauss_claim(m: int) -> dict:
     gp = gauss_periods(m)
     expected = [
         [round(gp.closed_squares.real, 6), round(gp.closed_squares.imag, 6)],
@@ -308,92 +303,66 @@ def _gauss_claim(m: int) -> Claim:
         [round(gp.nonsquares.real, 6), round(gp.nonsquares.imag, 6)],
     ]
     # gauss_periods itself enforces 1e-9 agreement; reaching here means match
-    return Claim(id=f"gauss-periods-m{m}", expected=expected, computed=computed, status="match")
+    return {"expected": expected, "computed": computed, "status": "match"}
 
 
-def _griesmer_claim(kind: str, m: int) -> Claim:
-    expected = REFERENCE_OPTIMAL[(kind, m)]
+def _griesmer_claim(kind: str, m: int) -> dict:
     v = verdict(CodeSpec(m=m, set_kind=kind))
-    computed = {
-        "optimal": v.optimal,
-        "N": v.N,
-        "sum_d": v.griesmer_sum_d,
-        "sum_d1": v.griesmer_sum_d1,
+    return {
+        "expected": {"optimal": REFERENCE_OPTIMAL[(kind, m)]},
+        "computed": {"optimal": v.optimal, "N": v.N, "sum_d": v.griesmer_sum_d, "sum_d1": v.griesmer_sum_d1},
+        "checked": {"optimal": v.optimal},
     }
-    return Claim(
-        id=f"griesmer-{kind}-m{m}",
-        expected={"optimal": expected},
-        computed=computed,
-        status="match" if v.optimal == expected else "mismatch",
-    )
 
 
-def _griesmer_total_claim(kind: str, m: int) -> Claim:
+def _griesmer_total_claim(kind: str, m: int) -> dict:
     expected = REFERENCE_GRIESMER_TOTAL[(kind, m)]
     _, total = closed_form_sum_d_plus_1(m, kind)
-    if total == expected:
-        status, note = "match", None
-    elif total == expected + 1:
-        status = "flagged"
-        note = (
+    fields = {"expected": expected, "computed": total}
+    if total == expected + 1:
+        fields["status"] = "flagged"
+        fields["note"] = (
             "stated total is one less than the per-term sum; the per-term "
             "expansion is verified exactly against the direct ceiling sum"
         )
-    else:
-        status, note = "mismatch", None
-    return Claim(
-        id=f"griesmer-total-{kind}-m{m}",
-        expected=expected,
-        computed=total,
-        status=status,
-        note=note,
-    )
+    return fields
 
 
-def _dual_claim(kind: str, m: int) -> Claim:
+def _dual_claim(kind: str, m: int) -> dict:
     cert = dual_weight_search(CodeSpec(m=m, set_kind=kind))
-    return Claim(
-        id=f"dual-{kind}-m{m}",
-        expected={"distance": 2},
-        computed={"distance": cert.distance, "witness": [list(p) for p in cert.witness]},
-        status="match" if cert.distance == 2 else "mismatch",
-    )
+    return {
+        "expected": {"distance": 2},
+        "computed": {"distance": cert.distance, "witness": [list(p) for p in cert.witness]},
+        "checked": {"distance": cert.distance},
+    }
 
 
-def _packing_claim() -> Claim:
+def _packing_claim() -> dict:
     computed = {}
     for kind in KINDS:
         for m in (1, 2):
             N = code_length(m, kind)
             computed[f"{kind}-m{m}"] = sphere_packing_t1(N, N - 3 * m)
-    ok = not any(computed.values())
-    return Claim(
-        id="packing-dual-single-error",
-        expected="no family's dual packs a radius-1 ball (all False)",
-        computed=computed,
-        status="flagged" if ok else "mismatch",
-        note="verified in substance; the stated inequality arranges the same "
+    return {
+        "expected": "no family's dual packs a radius-1 ball (all False)",
+        "computed": computed,
+        "status": "mismatch" if any(computed.values()) else "flagged",
+        "note": "verified in substance; the stated inequality arranges the same "
         "quantities differently",
-    )
+    }
 
 
-def _minimality_claim(kind: str, m: int) -> Claim:
-    code = build_code(CodeSpec(m=m, set_kind=kind))
-    report, _ = minimal_codewords(code)
+def _minimality_claim(kind: str, m: int) -> dict:
+    report, _ = minimal_codewords(build_code(CodeSpec(m=m, set_kind=kind)))
     computed = {
         "ab_ratio_holds": report.ab_ratio_holds,
         "minimal": report.minimal_count,
         "non_minimal": len(report.non_minimal_classes),
     }
     if kind == KIND_UNITS and m == 2:
-        expected: object = {"ab_ratio_holds": True, "non_minimal": 0}
-        ok = report.ab_ratio_holds and not report.non_minimal_classes
-        return Claim(
-            id=f"minimality-{kind}-m{m}",
-            expected=expected,
-            computed=computed,
-            status="match" if ok else "mismatch",
-        )
+        expected = {"ab_ratio_holds": True, "non_minimal": 0}
+        checked = {key: computed[key] for key in expected}
+        return {"expected": expected, "computed": computed, "checked": checked}
     if m == 1:
         note = (
             "weight ratio sits exactly on the screen boundary (3 wmin == 2 wmax); "
@@ -401,69 +370,40 @@ def _minimality_claim(kind: str, m: int) -> Claim:
         )
     else:
         note = "no stated expectation for this family; census recorded"
-    return Claim(
-        id=f"minimality-{kind}-m{m}",
-        expected="census (screen inconclusive)",
-        computed=computed,
-        status="flagged",
-        note=note,
-    )
+    return {
+        "expected": "census (screen inconclusive)",
+        "computed": computed,
+        "status": "flagged",
+        "note": note,
+    }
 
 
-def _slow_enum_claim(kind: str, threads: int) -> Claim:
-    spec = CodeSpec(m=3, set_kind=kind)
-    expected = REFERENCE_TABLES[(kind, 3)]
-    got = enumerate_distribution(spec, threads=threads).entries
-    return Claim(
-        id=f"enum-vs-formula-{kind}-m3",
-        expected=expected,
-        computed=got,
-        status="match" if got == expected else "mismatch",
-    )
+_M1_M2 = tuple((kind, m) for kind in KINDS for m in (1, 2))
 
 
 def build_claims(include_slow: bool = False, threads: int = 1) -> list[Claim]:
-    claims: list[Claim] = []
-    for kind, m in REFERENCE_TABLES:
-        _claim(claims, f"table-{kind}-m{m}", lambda k=kind, mm=m: _table_claim(k, mm))
-    for kind in KINDS:
-        for m in (1, 2):
-            _claim(
-                claims,
-                f"enum-vs-formula-{kind}-m{m}",
-                lambda k=kind, mm=m: _enum_formula_claim(k, mm, threads),
-            )
-    for kind in KINDS:
-        _claim(claims, f"charsum-vs-enum-{kind}-m1", lambda k=kind: _charsum_claim(k, 1))
-    for m in range(1, 7):
-        _claim(claims, f"gauss-periods-m{m}", lambda mm=m: _gauss_claim(mm))
-    for kind, m in REFERENCE_OPTIMAL:
-        _claim(claims, f"griesmer-{kind}-m{m}", lambda k=kind, mm=m: _griesmer_claim(k, mm))
-    for kind, m in REFERENCE_GRIESMER_TOTAL:
-        _claim(
-            claims,
-            f"griesmer-total-{kind}-m{m}",
-            lambda k=kind, mm=m: _griesmer_total_claim(k, mm),
-        )
-    for kind in KINDS:
-        for m in (1, 2):
-            _claim(claims, f"dual-{kind}-m{m}", lambda k=kind, mm=m: _dual_claim(k, mm))
-    _claim(claims, "packing-dual-single-error", _packing_claim)
-    for kind in KINDS:
-        for m in (1, 2):
-            _claim(
-                claims,
-                f"minimality-{kind}-m{m}",
-                lambda k=kind, mm=m: _minimality_claim(k, mm),
-            )
+    enum = partial(_enum_formula_claim, threads=threads)
+    # (claim id template, builder, parameters of the fast set, of --include-slow):
+    # one claim per parameter tuple, the fast set in table order, then the slow
+    table = (
+        ("table-{}-m{}", _table_claim, tuple(REFERENCE_TABLES), ()),
+        ("enum-vs-formula-{}-m{}", enum, _M1_M2, tuple((kind, 3) for kind in KINDS)),
+        ("charsum-vs-enum-{}-m{}", _charsum_claim, tuple((kind, 1) for kind in KINDS), ()),
+        ("gauss-periods-m{}", _gauss_claim, tuple((m,) for m in range(1, 7)), ()),
+        ("griesmer-{}-m{}", _griesmer_claim, tuple(REFERENCE_OPTIMAL), ()),
+        ("griesmer-total-{}-m{}", _griesmer_total_claim, tuple(REFERENCE_GRIESMER_TOTAL), ()),
+        ("dual-{}-m{}", _dual_claim, _M1_M2, ()),
+        ("packing-dual-single-error", _packing_claim, ((),), ()),
+        ("minimality-{}-m{}", _minimality_claim, _M1_M2, ()),
+    )
+    rows = [(template, build, fast) for template, build, fast, _ in table]
     if include_slow:
-        for kind in KINDS:
-            _claim(
-                claims,
-                f"enum-vs-formula-{kind}-m3",
-                lambda k=kind: _slow_enum_claim(k, threads),
-            )
-    return claims
+        rows += [(template, build, slow) for template, build, _, slow in table]
+    return [
+        _claim(template.format(*p), partial(build, *p))
+        for template, build, params in rows
+        for p in params
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -509,6 +449,14 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --threads: a pool of 0 or fewer workers is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_code_args(p: argparse.ArgumentParser, layout: bool = True) -> None:
     p.add_argument("--m", type=int, required=True, help="extension degree of the base field")
     p.add_argument("--set", choices=KINDS, default=KIND_LPRIME, help="defining set kind")
@@ -530,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "enumerate", "formula", "charsum"),
         default="auto",
     )
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--extrapolate", action="store_true", help="emit unproven closed forms")
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_weights)
@@ -560,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "enumerate", "formula", "charsum"),
         default="auto",
     )
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--extrapolate", action="store_true")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify-paper", help="replay documented reference results")
     p.add_argument("--include-slow", action="store_true", help="also enumerate at m=3")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg3
+from .chain_ring import require_scope
 from .trace_code import TernaryCode
-
-MINIMALITY_MAX_K = 6
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +77,7 @@ def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, in
     support bitmask of the class.  Supports are compared as ints; class
     A covers class B iff B's support bits all lie inside A's and B != A.
     """
-    if code.dimension > MINIMALITY_MAX_K:
-        raise ValueError(f"minimality census is capped at k <= {MINIMALITY_MAX_K}")
+    require_scope("minimality census", code.spec.m)
     words = code.codewords()
     reps = _class_representatives(code)
     support: dict[int, int] = {}
@@ -170,7 +168,8 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     partial = int((np.delete(msg, pivot) * np.delete(col0, pivot)).sum() % 3)
     msg[pivot] = ((secret - partial) * pow(int(col0[pivot]), -1, 3)) % 3
     word = (msg @ G.astype(np.int64)) % 3
-    assert word[0] == secret
+    if word[0] != secret:
+        raise ArithmeticError("the sampled codeword does not carry the secret at position 0")
     return {int(p): int(word[p]) for p in range(1, code.length)}
 
 

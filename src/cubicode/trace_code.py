@@ -14,6 +14,13 @@ Two coordinate layouts of the Gray image are supported:
 
 In the block layout multiplication of the scalar by u becomes a cyclic
 shift by n = |L| places, which is what check_quasicyclic certifies.
+Only this module knows the layouts; elsewhere set positions map to image
+positions through gray_positions.
+
+EvalContext is the one evaluator of ev(a): generators, enumeration and
+the structural checks all go through it.  evaluate, the per-coordinate
+ring-arithmetic form, is kept as the independent reference the tests
+compare EvalContext against.
 """
 
 from __future__ import annotations
@@ -31,13 +38,15 @@ from .chain_ring import (
     DefiningSet,
     defining_set,
     get_ring,
+    require_scope,
 )
 
 LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
 LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
 
-EXHAUSTIVE_MAX_M = 2
+# (scalar, coordinate) pairs scored per evaluator call
+_CHUNK_ELEMS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class CodeSpec:
     layout: str = LAYOUT_INTERLEAVED
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if self.set_kind not in KINDS:
             raise ValueError(f"unknown defining set kind {self.set_kind!r}")
@@ -68,15 +77,26 @@ def evaluate(a: Triple, dset: DefiningSet) -> tuple[Triple, ...]:
 
 
 def gray_image(word, layout: str) -> np.ndarray:
-    """Flatten a base-ring word to its ternary Gray image in the given layout."""
+    """Flatten a base-ring word to its ternary Gray image in the given layout.
+
+    A stack of words, shape (..., n, 3), maps to a stack of images.
+    """
     arr = np.asarray(word, dtype=np.int8)
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    if arr.ndim < 2 or arr.shape[-1] != 3:
         raise ValueError("expected a sequence of coefficient triples")
+    lead = arr.shape[:-2]
     if layout == LAYOUT_INTERLEAVED:
-        return arr.reshape(-1)
+        return arr.reshape(*lead, -1)
     if layout == LAYOUT_BLOCK:
-        return arr.T.reshape(-1).copy()
+        return np.swapaxes(arr, -1, -2).reshape(*lead, -1).copy()
     raise ValueError(f"unknown layout {layout!r}")
+
+
+def gray_positions(index: int, layout: str, n: int) -> tuple[int, int, int]:
+    """Gray image positions of the triple at set position index, for |L| = n."""
+    if layout == LAYOUT_INTERLEAVED:
+        return (3 * index, 3 * index + 1, 3 * index + 2)
+    return (index, n + index, 2 * n + index)
 
 
 class EvalContext:
@@ -105,6 +125,17 @@ class EvalContext:
 
     def scalar_count(self) -> int:
         return self.q**3
+
+    def chunks(self, lo: int = 0, hi: int | None = None):
+        """Consecutive scalar index arrays covering lo .. hi - 1 (default: all).
+
+        Each holds max(1, _CHUNK_ELEMS // n) scalars, which bounds the
+        (scalar, coordinate) pairs one evaluator call materializes.
+        """
+        hi = self.scalar_count() if hi is None else hi
+        step = max(1, _CHUNK_ELEMS // self.n)
+        for start in range(lo, hi, step):
+            yield np.arange(start, min(hi, start + step))
 
     def _standard_traces(self, scalars):
         q = self.q
@@ -200,9 +231,9 @@ class TernaryCode:
 
 
 def build_code(spec: CodeSpec) -> TernaryCode:
-    dset = defining_set(spec.m, spec.set_kind)
-    rows = [gray_image(evaluate(g, dset), spec.layout) for g in ring_basis(spec.m)]
-    return TernaryCode(spec, np.vstack(rows))
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    basis = [index_of_scalar(spec.m, g) for g in ring_basis(spec.m)]
+    return TernaryCode(spec, gray_image(ctx.trace_triples(basis), spec.layout))
 
 
 def generator_rank(code: TernaryCode) -> int:
@@ -224,12 +255,7 @@ def export_generators(code: TernaryCode) -> str:
 
 
 def _all_ring_words(ctx: EvalContext) -> np.ndarray:
-    total = ctx.scalar_count()
-    blocks = [
-        ctx.trace_triples(np.arange(lo, min(total, lo + 2187)))
-        for lo in range(0, total, 2187)
-    ]
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([ctx.trace_triples(idx) for idx in ctx.chunks()])
 
 
 def check_injectivity(spec: CodeSpec, elements=None) -> bool:
@@ -238,16 +264,14 @@ def check_injectivity(spec: CodeSpec, elements=None) -> bool:
     An explicit element list can replace the spec's defining set to probe
     degenerate coordinate sets.
     """
-    if spec.m > EXHAUSTIVE_MAX_M:
-        raise ValueError(f"injectivity check is exhaustive, capped at m <= {EXHAUSTIVE_MAX_M}")
+    require_scope("exhaustive check", spec.m)
     if elements is None:
         ctx = get_eval_context(spec.m, spec.set_kind)
     else:
         ring = get_ring(spec.m)
         ctx = EvalContext(spec.m, tuple(ring.to_nilpotent(x) for x in elements))
-    words = _all_ring_words(ctx)
-    seen = {row.tobytes() for row in words.reshape(len(words), -1)}
-    return len(seen) == ctx.scalar_count()
+    images = gray_image(_all_ring_words(ctx), LAYOUT_INTERLEAVED)
+    return len({row.tobytes() for row in images}) == ctx.scalar_count()
 
 
 def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
@@ -276,48 +300,46 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     return (r1 * q + p2.astype(np.int64)) * q + p3.astype(np.int64)
 
 
+def _stays_in_code(images: np.ndarray, perms, sample: int | None, seed: int) -> bool:
+    """True iff y[perm] is again a row of images for every perm and picked row y.
+
+    images holds the Gray images of all codewords, perms are permutations
+    of image positions.  Every row is picked when sample is None,
+    otherwise a seeded sample of that many rows.
+    """
+    known = {row.tobytes() for row in images}
+    if sample is None or sample >= len(images):
+        picked = images
+    else:
+        idx = random.Random(seed).sample(range(len(images)), sample)
+        picked = images[np.array(idx)]
+    return all(row.tobytes() in known for perm in perms for row in picked[:, perm])
+
+
 def check_group_action(spec: CodeSpec, sample: int | None = None, seed: int = 7) -> bool:
     """True iff for every v in L the permutation x -> v x maps the code into itself.
 
     All codewords are checked when sample is None, otherwise a seeded
     sample of that many codewords per permutation.
     """
-    if spec.m > EXHAUSTIVE_MAX_M:
-        raise ValueError(f"group action check is capped at m <= {EXHAUSTIVE_MAX_M}")
+    require_scope("exhaustive check", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
-    dset = defining_set(spec.m, spec.set_kind)
-    words = _all_ring_words(ctx)
-    flat = words.reshape(len(words), -1)
-    word_bytes = {row.tobytes() for row in flat}
-    if sample is None or sample >= len(words):
-        picked = words
-    else:
-        rng = random.Random(seed)
-        idx = rng.sample(range(len(words)), sample)
-        picked = words[np.array(idx)]
-    for v in dset.elements:
-        perm = coordinate_permutation(spec, v)
-        moved = picked[:, perm, :].reshape(len(picked), -1)
-        if any(row.tobytes() not in word_bytes for row in moved):
-            return False
-    return True
+    images = gray_image(_all_ring_words(ctx), LAYOUT_INTERLEAVED)
+    slots = np.arange(3)
+    perms = (
+        (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
+        for v in defining_set(spec.m, spec.set_kind).elements
+    )
+    return _stays_in_code(images, perms, sample, seed)
 
 
 def check_quasicyclic(spec: CodeSpec, sample: int | None = None, seed: int = 7) -> bool:
     """True iff the block-layout image is invariant under a cyclic shift by |L|."""
     if spec.layout != LAYOUT_BLOCK:
         raise ValueError("the shift certification is defined for the block layout")
-    if spec.m > EXHAUSTIVE_MAX_M:
-        raise ValueError(f"quasi-cyclic check is capped at m <= {EXHAUSTIVE_MAX_M}")
+    require_scope("exhaustive check", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
-    words = _all_ring_words(ctx)
-    images = words.transpose(0, 2, 1).reshape(len(words), -1)
-    image_bytes = {row.tobytes() for row in images}
-    if sample is None or sample >= len(images):
-        picked = images
-    else:
-        rng = random.Random(seed)
-        idx = rng.sample(range(len(images)), sample)
-        picked = images[np.array(idx)]
-    shifted = np.roll(picked, ctx.n, axis=1)
-    return all(row.tobytes() in image_bytes for row in shifted)
+    images = gray_image(_all_ring_words(ctx), LAYOUT_BLOCK)
+    N = images.shape[1]
+    shift = (np.arange(N) - ctx.n) % N  # y[shift] == np.roll(y, n)
+    return _stays_in_code(images, [shift], sample, seed)

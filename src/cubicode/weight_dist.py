@@ -26,20 +26,17 @@ sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, Triple, code_length, get_ring
+from .chain_ring import KIND_LPRIME, Triple, code_length, get_ring, require_scope
 from .trace_code import CodeSpec, get_eval_context, index_of_scalar
 
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
-_CHUNK_ELEMS = 4_000_000
-ENUMERATE_MAX_M = 3
-CHARSUM_MAX_M = 2
-GAUSS_MAX_M = 8
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +76,7 @@ class GaussPeriods:
 
 
 def gauss_periods(m: int) -> GaussPeriods:
-    if not 1 <= m <= GAUSS_MAX_M:
-        raise ValueError(f"character sums supported for m in 1..{GAUSS_MAX_M}, got {m}")
+    require_scope("Gauss periods", m)
     from .gf3m import get_field
 
     F = get_field(m)
@@ -119,8 +115,7 @@ def vector_char_sum(y) -> complex:
 
 def codeword_char_sum(spec: CodeSpec, a: Triple) -> complex:
     """theta(a): the character sum over the Gray image of ev(a)."""
-    if spec.m > CHARSUM_MAX_M:
-        raise ValueError(f"character sums over codewords are capped at m <= {CHARSUM_MAX_M}")
+    require_scope("character sum", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
     word = ctx.trace_triples(np.array([index_of_scalar(spec.m, a)]))[0]
     return complex(_OMEGA[word].sum())
@@ -165,9 +160,11 @@ class WeightDistribution:
 def _validate(entries: dict[int, int], m: int, kind: str) -> None:
     size = 3 ** (3 * m)
     n_len = code_length(m, kind)
-    assert sum(entries.values()) == size, "frequencies must cover all scalars"
+    if sum(entries.values()) != size:
+        raise ArithmeticError("frequencies must cover all scalars")
     moment = sum(w * f for w, f in entries.items())
-    assert moment == 2 * n_len * 3 ** (3 * m - 1), "first moment identity violated"
+    if moment != 2 * n_len * 3 ** (3 * m - 1):
+        raise ArithmeticError("first moment identity violated")
 
 
 def _finish(counts: Counter, spec: CodeSpec, method: str, note: str | None = None):
@@ -182,35 +179,38 @@ def _weight_histogram(args) -> Counter:
     m, kind, lo, hi = args
     ctx = get_eval_context(m, kind)
     counts: Counter = Counter()
-    step = max(1, _CHUNK_ELEMS // ctx.n)
-    for start in range(lo, hi, step):
-        w = ctx.lee_weights(np.arange(start, min(hi, start + step)))
-        vals, cnt = np.unique(w, return_counts=True)
+    for idx in ctx.chunks(lo, hi):
+        vals, cnt = np.unique(ctx.lee_weights(idx), return_counts=True)
         for v, c in zip(vals.tolist(), cnt.tolist()):
             counts[v] += c
     return counts
 
 
+def pool_size(threads: int, jobs: int) -> int:
+    """Worker processes for jobs: never more than asked, than jobs, or than CPUs."""
+    return max(1, min(threads, jobs, os.cpu_count() or 1))
+
+
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
     """Brute force: Lee weight of ev(a) for every scalar a.
 
-    Parallelizes over contiguous scalar ranges; per-range histograms are
-    merged by addition, so the result is independent of threads.
+    Parallelizes over contiguous scalar ranges, one per thread (at most
+    one per scalar), on a pool of pool_size workers; per-range histograms
+    are merged by addition, so the result is independent of threads.
     """
-    if spec.m > ENUMERATE_MAX_M:
-        raise ValueError(f"exhaustive enumeration is capped at m <= {ENUMERATE_MAX_M}")
+    require_scope("enumeration", spec.m)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     total = 3 ** (3 * spec.m)
-    if threads <= 1:
+    parts = min(threads, total)
+    edges = [total * i // parts for i in range(parts + 1)]
+    jobs = [(spec.m, spec.set_kind, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    workers = pool_size(threads, len(jobs))
+    if workers == 1:
         counts = _weight_histogram((spec.m, spec.set_kind, 0, total))
     else:
-        edges = [total * i // threads for i in range(threads + 1)]
-        jobs = [
-            (spec.m, spec.set_kind, lo, hi)
-            for lo, hi in zip(edges, edges[1:])
-            if hi > lo
-        ]
         counts = Counter()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_weight_histogram, jobs):
                 counts.update(part)
     return _finish(counts, spec, "enumerated")
@@ -218,22 +218,14 @@ def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistributi
 
 def scalar_weights(spec: CodeSpec) -> np.ndarray:
     """Lee weight of ev(a) for every scalar, in nilpotent index order."""
-    if spec.m > ENUMERATE_MAX_M:
-        raise ValueError(f"exhaustive enumeration is capped at m <= {ENUMERATE_MAX_M}")
+    require_scope("enumeration", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
-    total = ctx.scalar_count()
-    step = max(1, _CHUNK_ELEMS // ctx.n)
-    parts = [
-        ctx.lee_weights(np.arange(lo, min(total, lo + step)))
-        for lo in range(0, total, step)
-    ]
-    return np.concatenate(parts)
+    return np.concatenate([ctx.lee_weights(idx) for idx in ctx.chunks()])
 
 
 def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
     """Distribution assembled scalar by scalar through weight_from_char_sum."""
-    if spec.m > CHARSUM_MAX_M:
-        raise ValueError(f"the character-sum path is capped at m <= {CHARSUM_MAX_M}")
+    require_scope("character sum", spec.m)
     from .trace_code import scalar_from_index
 
     counts: Counter = Counter()

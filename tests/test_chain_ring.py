@@ -10,7 +10,6 @@ from cubicode.chain_ring import (
     defining_set,
     defining_set_size,
     get_ring,
-    weight_one_scalars,
 )
 
 
@@ -90,14 +89,6 @@ def test_gray_and_lee_weight_base_ring_only():
         R2.gray((1, 0, 0))
     with pytest.raises(ValueError):
         R2.lee_weight((1, 0, 0))
-
-
-def test_weight_one_scalars():
-    R = get_ring(1)
-    ws = weight_one_scalars()
-    assert len(ws) == 6
-    assert all(R.lee_weight(s) == 1 for s in ws)
-    assert len(set(ws)) == 6
 
 
 @pytest.mark.parametrize("m", (1, 2))

@@ -171,6 +171,22 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+    for argv in (["weights", "--m", "1"], ["export", "--m", "1"], ["verify-paper"]):
+        for threads in ("0", "-1"):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--threads", threads])
+            assert info.value.code == 2
+
+
+def test_export_identical_across_threads(capsys):
+    argv = ["export", "--m", "2", "--format", "json", "--method", "enumerate"]
+    outputs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, *argv, "--threads", threads)
+        assert code == 0
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["method"] == "enumerated"
 
 
 def test_verify_paper_text(capsys):

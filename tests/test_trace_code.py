@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cubicode.chain_ring import defining_set, get_ring
+from cubicode import trace_code
+from cubicode.bounds import dual_weight_search
+from cubicode.chain_ring import ChainRing, defining_set, get_ring
 from cubicode.trace_code import (
     CodeSpec,
     EvalContext,
@@ -30,6 +32,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CodeSpec(m=0)
     with pytest.raises(ValueError):
+        CodeSpec(m=True)
+    with pytest.raises(ValueError):
         CodeSpec(m=1, set_kind="everything")
     with pytest.raises(ValueError):
         CodeSpec(m=1, layout="diagonal")
@@ -39,6 +43,11 @@ def test_gray_image_layouts():
     word = [(1, 2, 0), (0, 1, 2)]
     assert gray_image(word, "interleaved").tolist() == [1, 2, 0, 0, 1, 2]
     assert gray_image(word, "block").tolist() == [1, 0, 2, 1, 0, 2]
+    # a stack of words maps to a stack of images
+    assert gray_image([word, word[::-1]], "block").tolist() == [
+        [1, 0, 2, 1, 0, 2],
+        [0, 1, 1, 2, 2, 0],
+    ]
     with pytest.raises(ValueError):
         gray_image([1, 2, 0], "interleaved")
 
@@ -50,6 +59,26 @@ def test_code_shape_and_rank(spec):
     assert code.dimension == 3 * spec.m
     assert code.length == 3 * len(dset)
     assert generator_rank(code) == 3 * spec.m
+
+
+@pytest.mark.parametrize("layout", ("interleaved", "block"))
+def test_generators_match_reference_evaluation(layout):
+    for spec in ALL_SPECS_M2:
+        dset = defining_set(spec.m, spec.set_kind)
+        reference = np.vstack([gray_image(evaluate(g, dset), layout) for g in ring_basis(spec.m)])
+        G = build_code(CodeSpec(spec.m, spec.set_kind, layout)).generators
+        assert G.dtype == reference.dtype and np.array_equal(G, reference)
+
+
+def test_generators_and_dual_avoid_scalar_ring_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar ring arithmetic reached")
+
+    monkeypatch.setattr(trace_code, "evaluate", refuse)
+    monkeypatch.setattr(ChainRing, "mul", refuse)
+    for spec in ALL_SPECS_M2:
+        assert build_code(spec).dimension == 3 * spec.m
+        assert dual_weight_search(spec).distance == 2
 
 
 def test_eval_context_matches_reference_evaluation():

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubicode
 from cubicode.chain_ring import code_length
 from cubicode.trace_code import CodeSpec, scalar_from_index
 from cubicode.weight_dist import (
@@ -13,6 +18,7 @@ from cubicode.weight_dist import (
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
+    pool_size,
     scalar_weights,
     vector_char_sum,
     weight_from_char_sum,
@@ -69,6 +75,43 @@ def test_lprime_multiple_of_four_refused_without_extrapolation():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_distribution(CodeSpec(m=4))
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            enumerate_distribution(CodeSpec(m=1), threads=threads)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pool_size(10**9, 27) == 2
+    assert pool_size(10**9, 1) == 1
+    assert pool_size(3, 3) == 2
+    assert pool_size(1, 27) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(4, 4) == 1
+
+
+def test_invariants_hold_under_optimize():
+    # python -O strips assert statements; the invariant checks must survive
+    script = """
+from collections import Counter
+from cubicode.trace_code import CodeSpec
+from cubicode.weight_dist import _finish
+print("debug", __debug__)
+for corrupted in ({0: 1, 18: 25, 27: 2}, {0: 1, 18: 23, 27: 3}):
+    try:
+        _finish(Counter(corrupted), CodeSpec(m=1), "enumerated")
+    except ArithmeticError:
+        print("refused")
+    else:
+        print("accepted")
+"""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
 
 
 def test_first_moment_identity():
