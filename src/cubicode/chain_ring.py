@@ -23,6 +23,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf3m import GF3m, get_field
 
 Triple = tuple[int, int, int]
@@ -34,7 +36,7 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive or
 # materializing computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    "defining set": 3,  # materialized as tuples of triples
+    "defining set": 3,  # materialized as an (|L|, 3) array
     "exhaustive check": 2,  # injectivity, group action, quasi-cyclic shift
     "dual search": 2,
     "enumeration": 3,
@@ -158,22 +160,27 @@ def get_ring(m: int) -> ChainRing:
 # defining sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
     """A multiplicatively closed coordinate set for the trace construction.
 
-    elements holds standard-coordinate triples, nilpotent the matching
-    (x1, x2, x3) triples, both in the canonical order described in the
-    module docstring.
+    nilpotent is a read-only (|L|, 3) int64 array of the (x1, x2, x3)
+    coordinates, in the canonical order described in the module
+    docstring; elements, the matching standard-coordinate triples, is
+    built on first use.
     """
 
     kind: str
     m: int
-    elements: tuple[Triple, ...]
-    nilpotent: tuple[Triple, ...]
+    nilpotent: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.nilpotent)
+
+    @functools.cached_property
+    def elements(self) -> tuple[Triple, ...]:
+        ring = get_ring(self.m)
+        return tuple(ring.from_nilpotent(t) for t in map(tuple, self.nilpotent.tolist()))
 
 
 def defining_set_size(m: int, kind: str) -> int:
@@ -194,15 +201,11 @@ def defining_set(m: int, kind: str) -> DefiningSet:
     if kind not in KINDS:
         raise ValueError(f"unknown defining set kind {kind!r}")
     require_scope("defining set", m)
-    ring = get_ring(m)
-    F = ring.field
+    F = get_field(m)
     x1_values = F.squares() if kind == KIND_LPRIME else tuple(range(1, F.q))
-    std, nil = [], []
-    for x1 in x1_values:
-        for x2 in range(F.q):
-            for x3 in range(F.q):
-                nil.append((x1, x2, x3))
-                std.append(ring.from_nilpotent((x1, x2, x3)))
-    if len(std) != defining_set_size(m, kind):
-        raise ArithmeticError(f"materialized {len(std)} elements, not |L| for m={m} {kind}")
-    return DefiningSet(kind=kind, m=m, elements=tuple(std), nilpotent=tuple(nil))
+    axes = np.meshgrid(np.array(x1_values), np.arange(F.q), np.arange(F.q), indexing="ij")
+    nil = np.stack(axes, axis=-1).reshape(-1, 3).astype(np.int64)
+    nil.flags.writeable = False
+    if len(nil) != defining_set_size(m, kind):
+        raise ArithmeticError(f"materialized {len(nil)} elements, not |L| for m={m} {kind}")
+    return DefiningSet(kind=kind, m=m, nilpotent=nil)

@@ -103,11 +103,23 @@ class EvalContext:
     """Bulk evaluation of Tr(a x) over a fixed coordinate set.
 
     Scalars are indexed in nilpotent coordinates,
-    index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2,
-    and all heavy paths are numpy lookups in the field's trace-of-product
-    table.  Since the ring trace acts componentwise in nilpotent
-    coordinates, the standard coefficients of Tr(a x) are recovered from
-    the nilpotent traces (t1, t2, t3) as (t1 - t2 + t3, t2 + t3, t3).
+    index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2.
+    The ring trace acts componentwise in nilpotent coordinates, and the
+    standard coefficients of Tr(a x) are recovered from the nilpotent
+    traces (t1, t2, t3) as (t1 - t2 + t3, t2 + t3, t3).  So ev(a) is
+    F_3-linear in (a1, a2, a3):
+
+        ev(a) = W1[a1] + W2[a2] + W3[a3]  (mod 3),
+
+    where W1[c], W2[c], W3[c] are the interleaved words of (c, 0, 0),
+    (0, c, 0), (0, 0, c), three (q, 3n) int8 tables read from the field's
+    trace-of-product table once per context.
+
+    lee_weights scores scalars on bit planes: H = W1[a1] + W2[a2] is
+    split into one-hot planes (H == 0, H == 1, H == 2), each packed into
+    uint64 words, and the planes of -W3[a3] are kept per a3.  Position j
+    of ev(a) is zero iff H_j == -W3[a3]_j, so the Lee weight is 3n minus
+    the popcount of the OR of the three plane-wise ANDs.
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
@@ -121,7 +133,13 @@ class EvalContext:
         self.x2 = arr[:, 1].copy()
         self.x3 = arr[:, 2].copy()
         self.n = len(arr)
-        self.trace_mul = self.field.trace_mul_table
+        self.step = max(1, _CHUNK_ELEMS // self.n)
+        tm = self.field.trace_mul_table
+        zero = np.zeros((self.q, self.n), dtype=tm.dtype)
+        self.w1 = _standard_words(tm[:, self.x1], tm[:, self.x2], tm[:, self.x3])
+        self.w2 = _standard_words(zero, tm[:, self.x1], tm[:, self.x2])
+        self.w3 = _standard_words(zero, zero, tm[:, self.x1])
+        self._w3_planes = _one_hot_planes((-self.w3) % 3)
 
     def scalar_count(self) -> int:
         return self.q**3
@@ -129,43 +147,54 @@ class EvalContext:
     def chunks(self, lo: int = 0, hi: int | None = None):
         """Consecutive scalar index arrays covering lo .. hi - 1 (default: all).
 
-        Each holds max(1, _CHUNK_ELEMS // n) scalars, which bounds the
-        (scalar, coordinate) pairs one evaluator call materializes.
+        Each holds step = max(1, _CHUNK_ELEMS // n) scalars, which bounds
+        the (scalar, coordinate) pairs one evaluator call materializes.
         """
         hi = self.scalar_count() if hi is None else hi
-        step = max(1, _CHUNK_ELEMS // self.n)
-        for start in range(lo, hi, step):
-            yield np.arange(start, min(hi, start + step))
-
-    def _standard_traces(self, scalars):
-        q = self.q
-        s = np.asarray(scalars, dtype=np.int64)
-        a1 = (s // (q * q)).astype(np.int16)
-        a2 = ((s // q) % q).astype(np.int16)
-        a3 = (s % q).astype(np.int16)
-        tm = self.trace_mul
-        t1 = tm[a1[:, None], self.x1[None, :]]
-        t2 = (tm[a1[:, None], self.x2[None, :]] + tm[a2[:, None], self.x1[None, :]]) % 3
-        t3 = (
-            tm[a1[:, None], self.x3[None, :]]
-            + tm[a2[:, None], self.x2[None, :]]
-            + tm[a3[:, None], self.x1[None, :]]
-        ) % 3
-        s1 = (t1 - t2 + t3) % 3
-        s2 = (t2 + t3) % 3
-        return s1.astype(np.int8), s2.astype(np.int8), t3.astype(np.int8)
+        for start in range(lo, hi, self.step):
+            yield np.arange(start, min(hi, start + self.step))
 
     def trace_triples(self, scalars) -> np.ndarray:
         """(len(scalars), n, 3) standard-coordinate words Tr(a x)."""
-        s1, s2, s3 = self._standard_traces(scalars)
-        return np.stack([s1, s2, s3], axis=-1)
+        q = self.q
+        s = np.asarray(scalars, dtype=np.int64)
+        words = (self.w1[s // (q * q)] + self.w2[(s // q) % q] + self.w3[s % q]) % 3
+        return words.reshape(len(s), self.n, 3)
 
     def lee_weights(self, scalars) -> np.ndarray:
-        s1, s2, s3 = self._standard_traces(scalars)
-        w = (s1 != 0).sum(axis=1, dtype=np.int64)
-        w += (s2 != 0).sum(axis=1, dtype=np.int64)
-        w += (s3 != 0).sum(axis=1, dtype=np.int64)
-        return w
+        """Lee weight of ev(a) for each scalar index, as int64.
+
+        Scalars may come in any order and repeat; each run of equal
+        hi = a1 * q + a2 shares one set of H planes.
+        """
+        q = self.q
+        s = np.asarray(scalars, dtype=np.int64).reshape(-1)
+        hi, a3 = s // q, s % q
+        starts = np.flatnonzero(np.diff(hi, prepend=-1)).tolist()
+        zeros = np.empty(len(s), dtype=np.int64)
+        for lo, end in zip(starts, starts[1:] + [len(s)]):
+            a1, a2 = divmod(int(hi[lo]), q)
+            h_planes = _one_hot_planes((self.w1[a1 : a1 + 1] + self.w2[a2 : a2 + 1]) % 3)
+            zero = np.bitwise_or.reduce(h_planes & self._w3_planes[a3[lo:end]], axis=1)
+            zeros[lo:end] = np.bitwise_count(zero).sum(axis=-1)
+        return 3 * self.n - zeros
+
+
+def _standard_words(t1, t2, t3) -> np.ndarray:
+    """Interleaved standard-coordinate words (q, 3n) from nilpotent traces (q, n)."""
+    words = np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
+    return words.astype(np.int8).reshape(len(t1), -1)
+
+
+def _one_hot_planes(words: np.ndarray) -> np.ndarray:
+    """(rows, 3, ceil(L / 64)) uint64 bit planes of (rows, L) words over {0, 1, 2}.
+
+    Plane v holds the positions equal to v; the padding bits are zero.
+    """
+    rows, length = words.shape
+    bits = np.zeros((rows, 3, -(-length // 64) * 64), dtype=bool)
+    bits[:, :, :length] = words[:, None, :] == np.arange(3, dtype=np.int8)[:, None]
+    return np.packbits(bits, axis=-1).view(np.uint64)
 
 
 @functools.lru_cache(maxsize=None)

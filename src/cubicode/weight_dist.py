@@ -191,20 +191,32 @@ def pool_size(threads: int, jobs: int) -> int:
     return max(1, min(threads, jobs, os.cpu_count() or 1))
 
 
+def scalar_ranges(total: int, step: int, threads: int) -> list[tuple[int, int]]:
+    """Split scalars 0 .. total - 1 into at most threads ranges of whole chunks.
+
+    Chunks are the step-sized blocks EvalContext.chunks walks, so a range
+    never splits a chunk and a job of one chunk is one range.
+    """
+    chunks = -(-total // step)
+    parts = min(threads, chunks)
+    edges = [min(total, step * (chunks * i // parts)) for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
     """Brute force: Lee weight of ev(a) for every scalar a.
 
-    Parallelizes over contiguous scalar ranges, one per thread (at most
-    one per scalar), on a pool of pool_size workers; per-range histograms
-    are merged by addition, so the result is independent of threads.
+    Parallelizes over contiguous scalar ranges of whole chunks, one per
+    thread, on a pool of pool_size workers; a single range runs in
+    process.  Per-range histograms are merged by addition, so the result
+    is independent of threads.
     """
     require_scope("enumeration", spec.m)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    total = 3 ** (3 * spec.m)
-    parts = min(threads, total)
-    edges = [total * i // parts for i in range(parts + 1)]
-    jobs = [(spec.m, spec.set_kind, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    total = ctx.scalar_count()
+    jobs = [(spec.m, spec.set_kind, lo, hi) for lo, hi in scalar_ranges(total, ctx.step, threads)]
     workers = pool_size(threads, len(jobs))
     if workers == 1:
         counts = _weight_histogram((spec.m, spec.set_kind, 0, total))

@@ -9,7 +9,7 @@ DESCRIPTIONS = {
     2: "m=1 units enumerated Lee distribution {0:1, 36:24, 54:2} in < 1 s",
     3: "m=2 lprime enumerated Lee distribution {0:1, 486:4, 648:720, 972:4} in < 10 s",
     4: "m=2 units enumerated Lee distribution {0:1, 1296:720, 1458:8} in < 30 s",
-    5: "closed forms equal enumeration (m <= 2 always; m=3 with --include-slow)",
+    5: "closed forms equal enumeration for m <= 3, both kinds",
     6: "character-sum weights equal direct Lee weights for every scalar, m <= 2",
     7: "Gauss periods match closed forms for m <= 6; exact sum -1",
     8: "char-sum/Hamming-weight identity on 1000 seeded vectors per length",

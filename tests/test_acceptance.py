@@ -6,7 +6,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from cubicode.bounds import dual_weight_search, verdict
 from cubicode.chain_ring import code_length
@@ -77,7 +76,6 @@ def test_criterion_05_formula_equals_enumeration():
             )
 
 
-@pytest.mark.slow
 def test_criterion_05_m3_enumeration():
     for kind in BOTH_KINDS:
         spec = CodeSpec(m=3, set_kind=kind)

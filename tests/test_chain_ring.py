@@ -107,6 +107,21 @@ def test_defining_set_shape(m, kind):
     assert dset.elements[q] == R.u
 
 
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("kind", (KIND_LPRIME, KIND_UNITS))
+def test_defining_set_array_matches_tuple_construction(m, kind):
+    R = get_ring(m)
+    F = R.field
+    x1_values = F.squares() if kind == KIND_LPRIME else tuple(range(1, F.q))
+    nil = [(x1, x2, x3) for x1 in x1_values for x2 in range(F.q) for x3 in range(F.q)]
+    dset = defining_set(m, kind)
+    assert dset.nilpotent.shape == (len(nil), 3) and len(dset) == len(nil)
+    assert dset.nilpotent.tolist() == [list(t) for t in nil]
+    assert not dset.nilpotent.flags.writeable
+    if m <= 2:
+        assert dset.elements == tuple(R.from_nilpotent(t) for t in nil)
+
+
 def test_lprime_is_index_two_subgroup():
     m = 2
     R = get_ring(m)

@@ -98,6 +98,41 @@ def test_eval_context_matches_reference_evaluation():
             assert int(ctx.lee_weights(np.array([idx]))[0]) == lee
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
+def test_lee_weights_equal_gray_weight_of_every_word(spec):
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    every = np.arange(ctx.scalar_count())
+    images = gray_image(ctx.trace_triples(every), "interleaved")
+    assert ctx.lee_weights(every).tolist() == (images != 0).sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_lee_weights_match_reference_evaluation_m3(kind):
+    dset = defining_set(3, kind)
+    ctx = get_eval_context(3, kind)
+    indices = random.Random(3).sample(range(ctx.scalar_count()), 2)
+    for idx in indices:
+        reference = evaluate(scalar_from_index(3, idx), dset)
+        lee = sum(3 - triple.count(0) for triple in reference)
+        assert int(ctx.lee_weights(np.array([idx]))[0]) == lee
+
+
+def test_lee_weights_accept_repeated_unordered_scalars():
+    for spec in ALL_SPECS_M2 + [CodeSpec(m=3, set_kind="lprime")]:
+        ctx = get_eval_context(spec.m, spec.set_kind)
+        q = ctx.q
+        rng = random.Random(11)
+        # same hi = a1 q + a2 in separate runs, repeats, descending indices
+        picked = [rng.randrange(ctx.scalar_count()) for _ in range(40)]
+        chunk = np.array(picked + picked[::-1] + [q * 5 + 1, q * 5, 0, q * 5 + 1, 0])
+        chunk %= ctx.scalar_count()
+        expected = [int(ctx.lee_weights(np.array([i]))[0]) for i in chunk.tolist()]
+        assert ctx.lee_weights(chunk).tolist() == expected
+        images = gray_image(ctx.trace_triples(chunk), "interleaved")
+        assert expected == (images != 0).sum(axis=1).tolist()
+    assert get_eval_context(1, "lprime").lee_weights(np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_scalar_index_roundtrip():
     for m in (1, 2):
         total = 3 ** (3 * m)

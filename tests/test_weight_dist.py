@@ -19,6 +19,7 @@ from cubicode.weight_dist import (
     formula_distribution,
     gauss_periods,
     pool_size,
+    scalar_ranges,
     scalar_weights,
     vector_char_sum,
     weight_from_char_sum,
@@ -46,8 +47,9 @@ def test_formula_matches_enumeration(kind, m):
     assert formula_distribution(spec).entries == enumerate_distribution(spec).entries
 
 
-def test_threaded_enumeration_merges_to_same_histogram():
-    spec = CodeSpec(m=2, set_kind="lprime")
+@pytest.mark.parametrize("m", (2, 3))  # one chunk runs in process; m = 3 spans a pool
+def test_threaded_enumeration_merges_to_same_histogram(m):
+    spec = CodeSpec(m=m, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
         == enumerate_distribution(spec, threads=1).entries
@@ -88,6 +90,22 @@ def test_pool_size_is_clamped(monkeypatch):
     assert pool_size(1, 27) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pool_size(4, 4) == 1
+
+
+def test_scalar_ranges_follow_chunks():
+    # pure partition: no pool is started
+    assert scalar_ranges(729, 12345, 4) == [(0, 729)]  # one chunk never forks
+    assert scalar_ranges(27, 1, 1) == [(0, 27)]
+    assert scalar_ranges(10, 3, 2) == [(0, 6), (6, 10)]  # 4 chunks of 3, 3, 3, 1
+    assert scalar_ranges(10, 3, 9) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    ranges = scalar_ranges(19683, 422, 2)
+    assert [lo % 422 for lo, _ in ranges] == [0, 0]
+    for threads in (1, 2, 3, 7, 100):
+        ranges = scalar_ranges(19683, 422, threads)
+        assert len(ranges) == min(threads, 47)
+        assert ranges[0][0] == 0 and ranges[-1][1] == 19683
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(lo < hi for lo, hi in ranges)
 
 
 def test_invariants_hold_under_optimize():
