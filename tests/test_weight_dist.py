@@ -47,9 +47,18 @@ def test_formula_matches_enumeration(kind, m):
     assert formula_distribution(spec).entries == enumerate_distribution(spec).entries
 
 
-@pytest.mark.parametrize("m", (2, 3))  # one chunk runs in process; m = 3 spans a pool
-def test_threaded_enumeration_merges_to_same_histogram(m):
-    spec = CodeSpec(m=m, set_kind="lprime")
+def test_threaded_enumeration_merges_to_same_histogram():
+    # one chunk: runs in process whatever the thread count
+    spec = CodeSpec(m=2, set_kind="lprime")
+    assert (
+        enumerate_distribution(spec, threads=3).entries
+        == enumerate_distribution(spec, threads=1).entries
+    )
+
+
+def test_threaded_m3_enumeration_merges_to_same_histogram():
+    # many chunks: the ranges are spread over a pool
+    spec = CodeSpec(m=3, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
         == enumerate_distribution(spec, threads=1).entries
