@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length
 from .trace_code import CodeSpec, build_code, gray_positions
 
 
@@ -149,9 +149,8 @@ def dual_weight_search(spec: CodeSpec, wmax: int = 2) -> DualWitness:
     at the first Gray slot of set position 0 (the element 1) and trit 2 at
     the middle slot of set position q (the element u), the image of the
     ring relation ev(a)_1 + 2u^2 ev(a)_u = 0; it must annihilate every
-    row of G.
+    row of G.  Its scope is that of G, the defining-set scope.
     """
-    require_scope("dual search", spec.m)
     if wmax < 2:
         raise ValueError("searches below weight 2 cannot terminate with a certificate")
     G = build_code(spec).generators
@@ -191,7 +190,7 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
 
     The minimum distance comes from the closed-form distribution when one
     is stated, else from exhaustive enumeration.  The dual certificate is
-    attached only in the scope of the dual search.
+    attached wherever G can be built, i.e. in the defining-set scope.
     """
     from .weight_dist import enumerate_distribution, formula_distribution
 
@@ -214,7 +213,7 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
         _, closed_total = closed_form_sum_d_plus_1(spec.m, spec.set_kind)
         if closed_total != report.sum_at_d_plus_1:
             raise ArithmeticError("closed-form Griesmer total disagrees with the direct sum")
-    if spec.m <= SCOPE_MAX_M["dual search"]:
+    if spec.m <= SCOPE_MAX_M["defining set"]:
         dual = dual_weight_search(spec)
         dual_distance: int | None = dual.distance
         witness: tuple[tuple[int, int], ...] | None = dual.witness

@@ -36,13 +36,12 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive or
 # materializing computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    "defining set": 3,  # materialized as an (|L|, 3) array
-    "exhaustive check": 2,  # injectivity, group action, quasi-cyclic shift
-    "dual search": 2,
+    "defining set": 3,  # materialized as an (|L|, 3) array; bounds G and the dual certificate
+    "exhaustive check": 2,  # injectivity, group action (every v in L), quasi-cyclic shift
     "enumeration": 3,
     "character sum": 2,
     "Gauss periods": 8,
-    "minimality census": 2,  # dimension k = 3m <= 6
+    "codeword table": 2,  # all 3^{3m} codewords; the minimality census reads it
 }
 
 

@@ -6,7 +6,9 @@ own scalar multiples.  The sufficient condition used as a screen is
 3 w_min > 2 w_max over nonzero weights; when it holds, every nonzero
 codeword is minimal, and the exhaustive check enforces that as an
 invariant.  Minimality is a property of the projective class {c, 2c},
-so the search runs over class representatives.
+so the search runs over class representatives, whose supports are the
+rows of one boolean (classes, N) matrix; the screen reads its row
+weights and the access structure its rows.
 
 The sharing scheme is the standard construction on the dual side of a
 generator matrix G with distinguished coordinate 0: pick a random
@@ -23,12 +25,12 @@ always exist here.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg3
-from .chain_ring import require_scope
 from .trace_code import TernaryCode
 
 
@@ -51,48 +53,39 @@ class MinimalityReport:
     convention: str = "up to scalar multiples"
 
 
-def ab_condition(entries: dict[int, int]) -> bool:
-    """3 w_min > 2 w_max over the nonzero weights of a distribution."""
-    nz = [w for w in entries if w > 0]
+def ab_condition(weights: Iterable[int]) -> bool:
+    """3 w_min > 2 w_max over the nonzero weights (or a distribution's entries)."""
+    nz = [w for w in weights if w > 0]
     return 3 * min(nz) > 2 * max(nz)
 
 
-def _class_representatives(code: TernaryCode) -> list[int]:
-    """Message indices representing each projective class {c, 2c}, c != 0."""
-    k = code.dimension
+def _class_representatives(k: int) -> np.ndarray:
+    """Ascending message indices representing each projective class {c, 2c}, c != 0."""
     digits = 3 ** np.arange(k)
-    reps = []
-    for i in range(1, 3**k):
-        msg = (i // digits) % 3
-        partner = int(((2 * msg) % 3 @ digits))
-        if i <= partner:
-            reps.append(i)
-    return reps
+    msgs = np.arange(1, 3**k)
+    partners = (2 * (msgs[:, None] // digits) % 3) @ digits
+    return msgs[msgs <= partners]
 
 
-def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, int]]:
+def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, np.ndarray]]:
     """Exhaustively classify projective classes as minimal or covered.
 
     Returns the census and a map from representative message index to the
-    support bitmask of the class.  Supports are compared as ints; class
-    A covers class B iff B's support bits all lie inside A's and B != A.
+    class support, a boolean row of length N (a row of one (classes, N)
+    support matrix).  Class i covers class j != i iff supp_j lies inside
+    supp_i, tested on packed bits.
     """
-    require_scope("minimality census", code.spec.m)
-    words = code.codewords()
-    reps = _class_representatives(code)
-    support: dict[int, int] = {}
-    for i in reps:
-        bits = 0
-        for pos in np.flatnonzero(words[i]):
-            bits |= 1 << int(pos)
-        support[i] = bits
-    # a class with the same support as another distinct class covers it too
+    reps = _class_representatives(code.dimension)
+    rows = code.codewords()[reps] != 0
+    packed = np.packbits(rows, axis=1)
+    # row i covers itself, so it is non-minimal iff it covers some other row,
+    # including a distinct class with the same support
     non_minimal = [
         i
-        for i in reps
-        if any(j != i and (support[j] & support[i]) == support[j] for j in reps)
+        for i, row in zip(reps.tolist(), packed)
+        if np.count_nonzero(~(packed & ~row).any(axis=1)) > 1
     ]
-    holds = ab_condition(_weight_census(words))
+    holds = ab_condition(rows.sum(axis=1).tolist())
     if holds and non_minimal:
         raise RuntimeError(
             "weight-ratio screen guarantees all-minimal, but covering pairs exist"
@@ -102,13 +95,7 @@ def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, in
         minimal_count=len(reps) - len(non_minimal),
         non_minimal_classes=tuple(non_minimal),
     )
-    return report, support
-
-
-def _weight_census(words: np.ndarray) -> dict[int, int]:
-    weights = (words != 0).sum(axis=1)
-    vals, cnt = np.unique(weights, return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, cnt)}
+    return report, dict(zip(reps.tolist(), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +114,11 @@ def access_structure(code: TernaryCode) -> AccessStructure:
     """Minimal access sets and dictator parties of the scheme on this code."""
     report, support = minimal_codewords(code)
     excluded = set(report.non_minimal_classes)
-    minimal = [i for i in support if i not in excluded]
-    words = code.codewords()
-    sets = set()
-    for i in minimal:
-        if words[i][0] == 0:
-            continue
-        parties = tuple(int(p) for p in np.flatnonzero(words[i]) if p != 0)
-        sets.add(parties)
+    sets = {
+        tuple((np.flatnonzero(row[1:]) + 1).tolist())
+        for i, row in support.items()
+        if row[0] and i not in excluded
+    }
     ordered = tuple(sorted(sets, key=lambda s: (len(s), s)))
     if ordered:
         dictators_set = set(ordered[0])

@@ -21,12 +21,17 @@ EvalContext is the one evaluator of ev(a): generators, enumeration and
 the structural checks all go through it.  evaluate, the per-coordinate
 ring-arithmetic form, is kept as the independent reference the tests
 compare EvalContext against.
+
+ev is F_3-linear, so every code here is the F_3 row space of its
+generator matrix G, and the structural checks decide on G alone:
+injectivity is "the 3m basis images have rank 3m", and a coordinate
+permutation maps the code into itself iff the permuted G lies in the row
+space of G.  Both are exact and exhaustive, with no sampling.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,21 +253,31 @@ class TernaryCode:
         )
 
     def codewords(self) -> np.ndarray:
-        """All 3^k codewords; message index digits are little-endian row coefficients."""
+        """All 3^k codewords; message index digits are little-endian row coefficients.
+
+        Built in int8, one generator row at a time: the words with digit
+        i set to 0, 1, 2 are the words so far plus 0, g_i, 2 g_i.
+        """
         if self._codewords is None:
-            k = self.dimension
-            if 3**k * self.length > 50_000_000:
-                raise ValueError("codeword table too large to materialize")
-            msgs = (np.arange(3**k)[:, None] // 3 ** np.arange(k)[None, :]) % 3
-            prod = msgs.astype(np.int64) @ self.generators.astype(np.int64)
-            self._codewords = (prod % 3).astype(np.int8)
+            require_scope("codeword table", self.spec.m)
+            words = np.zeros((3**self.dimension, self.length), dtype=np.int8)
+            for i, g in enumerate(self.generators):
+                size = 3**i
+                for digit in (1, 2):
+                    words[digit * size : (digit + 1) * size] = (words[:size] + digit * g) % 3
+            self._codewords = words
         return self._codewords
+
+
+def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:
+    """Gray images of ev(g) for the ring basis g, one row per basis element."""
+    basis = [index_of_scalar(ctx.m, g) for g in ring_basis(ctx.m)]
+    return gray_image(ctx.trace_triples(basis), layout)
 
 
 def build_code(spec: CodeSpec) -> TernaryCode:
     ctx = get_eval_context(spec.m, spec.set_kind)
-    basis = [index_of_scalar(spec.m, g) for g in ring_basis(spec.m)]
-    return TernaryCode(spec, gray_image(ctx.trace_triples(basis), spec.layout))
+    return TernaryCode(spec, _generator_matrix(ctx, spec.layout))
 
 
 def generator_rank(code: TernaryCode) -> int:
@@ -283,15 +298,12 @@ def export_generators(code: TernaryCode) -> str:
 # structural checks
 
 
-def _all_ring_words(ctx: EvalContext) -> np.ndarray:
-    return np.concatenate([ctx.trace_triples(idx) for idx in ctx.chunks()])
-
-
 def check_injectivity(spec: CodeSpec, elements=None) -> bool:
-    """Exhaustively decide whether a -> ev(a) separates all 3^{3m} scalars.
+    """Decide whether a -> ev(a) separates all 3^{3m} scalars.
 
-    An explicit element list can replace the spec's defining set to probe
-    degenerate coordinate sets.
+    ev is F_3-linear, so it is injective iff the images of the 3m basis
+    scalars have rank 3m.  An explicit element list can replace the
+    spec's defining set to probe degenerate coordinate sets.
     """
     require_scope("exhaustive check", spec.m)
     if elements is None:
@@ -299,8 +311,7 @@ def check_injectivity(spec: CodeSpec, elements=None) -> bool:
     else:
         ring = get_ring(spec.m)
         ctx = EvalContext(spec.m, tuple(ring.to_nilpotent(x) for x in elements))
-    images = gray_image(_all_ring_words(ctx), LAYOUT_INTERLEAVED)
-    return len({row.tobytes() for row in images}) == ctx.scalar_count()
+    return linalg3.rank(_generator_matrix(ctx, LAYOUT_INTERLEAVED)) == 3 * spec.m
 
 
 def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
@@ -329,46 +340,45 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     return (r1 * q + p2.astype(np.int64)) * q + p3.astype(np.int64)
 
 
-def _stays_in_code(images: np.ndarray, perms, sample: int | None, seed: int) -> bool:
-    """True iff y[perm] is again a row of images for every perm and picked row y.
+def _stays_in_code(G: np.ndarray, perms) -> bool:
+    """True iff G[:, perm] lies in the F_3 row space of G for every perm.
 
-    images holds the Gray images of all codewords, perms are permutations
-    of image positions.  Every row is picked when sample is None,
-    otherwise a seeded sample of that many rows.
+    With R the nonzero rows of the reduced echelon form of G and P its
+    pivot columns, R[:, P] is the identity, so a row y lies in the row
+    space iff y == y[P] @ R (mod 3).  A permutation keeps the dimension,
+    so "maps into the code" is "maps onto the code".
     """
-    known = {row.tobytes() for row in images}
-    if sample is None or sample >= len(images):
-        picked = images
-    else:
-        idx = random.Random(seed).sample(range(len(images)), sample)
-        picked = images[np.array(idx)]
-    return all(row.tobytes() in known for perm in perms for row in picked[:, perm])
+    reduced, pivots = linalg3.row_reduce(G)
+    R = reduced[: len(pivots)].astype(np.int64)
+    for perm in perms:
+        Y = G[:, perm].astype(np.int64)
+        if ((Y - Y[:, pivots] @ R) % 3).any():
+            return False
+    return True
 
 
-def check_group_action(spec: CodeSpec, sample: int | None = None, seed: int = 7) -> bool:
+def check_group_action(spec: CodeSpec) -> bool:
     """True iff for every v in L the permutation x -> v x maps the code into itself.
 
-    All codewords are checked when sample is None, otherwise a seeded
-    sample of that many codewords per permutation.
+    Decided on the interleaved generator matrix; the spec's layout plays
+    no part.
     """
     require_scope("exhaustive check", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
-    images = gray_image(_all_ring_words(ctx), LAYOUT_INTERLEAVED)
     slots = np.arange(3)
     perms = (
         (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
         for v in defining_set(spec.m, spec.set_kind).elements
     )
-    return _stays_in_code(images, perms, sample, seed)
+    return _stays_in_code(_generator_matrix(ctx, LAYOUT_INTERLEAVED), perms)
 
 
-def check_quasicyclic(spec: CodeSpec, sample: int | None = None, seed: int = 7) -> bool:
+def check_quasicyclic(spec: CodeSpec) -> bool:
     """True iff the block-layout image is invariant under a cyclic shift by |L|."""
     if spec.layout != LAYOUT_BLOCK:
         raise ValueError("the shift certification is defined for the block layout")
     require_scope("exhaustive check", spec.m)
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    images = gray_image(_all_ring_words(ctx), LAYOUT_BLOCK)
-    N = images.shape[1]
-    shift = (np.arange(N) - ctx.n) % N  # y[shift] == np.roll(y, n)
-    return _stays_in_code(images, [shift], sample, seed)
+    G = build_code(spec).generators
+    N = G.shape[1]
+    shift = (np.arange(N) - N // 3) % N  # y[shift] == np.roll(y, n)
+    return _stays_in_code(G, [shift])

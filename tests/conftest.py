@@ -15,7 +15,7 @@ DESCRIPTIONS = {
     8: "char-sum/Hamming-weight identity on 1000 seeded vectors per length",
     9: "Griesmer optimality verdicts via direct ceiling sums",
     10: "dual distance 2 certificates for all four specs, m <= 2",
-    11: "injectivity, group action, and block shift invariance",
+    11: "injectivity, group action over every v in L, and block shift invariance, m <= 2, no sampling",
     12: "first-moment identity on every produced distribution",
     13: "minimality census ground truth and weight-ratio boundary flag",
     14: "share round trips on every minimal access set; dictators nonempty",

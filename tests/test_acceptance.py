@@ -151,11 +151,9 @@ def test_criterion_11_structural_invariance():
         assert check_injectivity(CodeSpec(m=1, set_kind=kind))
         assert check_injectivity(CodeSpec(m=2, set_kind=kind))
         assert check_group_action(CodeSpec(m=1, set_kind=kind))
-        assert check_group_action(CodeSpec(m=2, set_kind=kind), sample=200)
+        assert check_group_action(CodeSpec(m=2, set_kind=kind))
         assert check_quasicyclic(CodeSpec(m=1, set_kind=kind, layout="block"))
-        assert check_quasicyclic(
-            CodeSpec(m=2, set_kind=kind, layout="block"), sample=200
-        )
+        assert check_quasicyclic(CodeSpec(m=2, set_kind=kind, layout="block"))
 
 
 def test_criterion_12_first_moment_identity():
@@ -181,10 +179,10 @@ def test_criterion_13_minimality_ground_truth():
     for kind in BOTH_KINDS:
         code = build_code(CodeSpec(m=1, set_kind=kind))
         report, support = minimal_codewords(code)
-        full = (1 << code.length) - 1
         non_minimal = set(report.non_minimal_classes)
-        for i, bits in support.items():
-            if bits == full:
+        for i, row in support.items():
+            assert row.shape == (code.length,)
+            if row.all():
                 assert i in non_minimal, "full-support class must be covered"
             else:
                 assert i not in non_minimal, "all other classes must be minimal"

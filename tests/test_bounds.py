@@ -87,8 +87,9 @@ def test_dual_witness_block_layout():
 
 
 def test_dual_guards():
+    assert dual_weight_search(CodeSpec(m=3)).witness == ((0, 1), (82, 2))
     with pytest.raises(ValueError):
-        dual_weight_search(CodeSpec(m=3))
+        dual_weight_search(CodeSpec(m=4))
     with pytest.raises(ValueError):
         dual_weight_search(CodeSpec(m=1), wmax=1)
 
@@ -111,6 +112,7 @@ VERDICTS = {
     ("units", 2): (1944, 6, 1296, True),
     ("lprime", 3): (28431, 9, 18954, True),
     ("units", 3): (56862, 9, 37908, True),
+    ("units", 4): (1574640, 12, 1049760, True),
 }
 
 
@@ -119,10 +121,14 @@ def test_verdicts(kind, m):
     N, K, d, optimal = VERDICTS[(kind, m)]
     v = verdict(CodeSpec(m=m, set_kind=kind))
     assert (v.N, v.K, v.d, v.optimal) == (N, K, d, optimal)
-    if m <= 2:
-        assert v.dual_distance == 2 and v.witness
+    # the certificate is attached wherever G can be built (m <= 3)
+    skipped = "dual certificate skipped above the exhaustive range"
+    if m <= 3:
+        assert v.dual_distance == 2 and v.witness == ((0, 1), (3 * 3**m + 1, 2))
+        assert skipped not in v.notes
     else:
-        assert v.dual_distance is None
+        assert v.dual_distance is None and v.witness is None
+        assert skipped in v.notes
     payload = verdict_json(v)
     assert payload["optimal"] == optimal
     assert payload["griesmer_sum_d"] == v.griesmer_sum_d

@@ -159,6 +159,14 @@ def test_codeword_message_encoding():
     expected = (2 * G[0].astype(int) + G[1].astype(int)) % 3
     assert words[5].tolist() == expected.tolist()
     assert (words[1:] != 0).any(axis=1).all()  # only the zero word is zero
+    # the whole int8 table equals the message-matrix product, m <= 2
+    for spec in ALL_SPECS_M2:
+        code = build_code(spec)
+        k = code.dimension
+        msgs = (np.arange(3**k)[:, None] // 3 ** np.arange(k)[None, :]) % 3
+        reference = (msgs.astype(np.int64) @ code.generators.astype(np.int64)) % 3
+        table = code.codewords()
+        assert table.dtype == np.int8 and np.array_equal(table, reference)
 
 
 def test_export_generators_format():
@@ -192,14 +200,27 @@ def test_group_action_exhaustive_m1():
 
 
 def test_group_action_sampled_m2():
-    assert check_group_action(CodeSpec(m=2, set_kind="lprime"), sample=40)
+    assert check_group_action(CodeSpec(m=2, set_kind="lprime"))
 
 
 def test_quasicyclic_shift():
     assert check_quasicyclic(CodeSpec(m=1, set_kind="lprime", layout="block"))
-    assert check_quasicyclic(CodeSpec(m=2, set_kind="units", layout="block"), sample=40)
+    assert check_quasicyclic(CodeSpec(m=2, set_kind="units", layout="block"))
     with pytest.raises(ValueError):
         check_quasicyclic(CodeSpec(m=1, layout="interleaved"))
+
+
+def test_row_space_test_rejects_permutations_that_leave_the_code():
+    G = build_code(CodeSpec(m=2, set_kind="lprime")).generators
+    swap = np.arange(G.shape[1])
+    swap[[0, 4]] = swap[[4, 0]]
+    assert not trace_code._stays_in_code(G, [swap])
+    assert trace_code._stays_in_code(G, [np.arange(G.shape[1])])
+    for spec in (CodeSpec(1, "lprime", "block"), CodeSpec(2, "units", "block")):
+        G = build_code(spec).generators
+        N = G.shape[1]
+        assert not trace_code._stays_in_code(G, [(np.arange(N) - 1) % N])
+        assert trace_code._stays_in_code(G, [(np.arange(N) - N // 3) % N])
 
 
 def test_eval_context_accepts_explicit_coordinates():
