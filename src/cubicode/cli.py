@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .chain_ring import KIND_LPRIME, KIND_UNITS, KINDS, code_length
 from .sss import access_structure, massey_shares, minimal_codewords, reconstruct
-from .trace_code import LAYOUTS, CodeSpec, build_code, export_generators
+from .trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code, export_generators
 from .weight_dist import (
     WeightDistribution,
     charsum_distribution,
@@ -179,8 +179,8 @@ def cmd_dual(args) -> int:
     return 0
 
 
-def _access_payload(spec: CodeSpec):
-    acc = access_structure(build_code(spec))
+def _access_payload(code: TernaryCode):
+    acc = access_structure(code)
     return acc, {
         "secret_position": acc.secret_position,
         "minimal_access_sets": [list(s) for s in acc.minimal_access_sets],
@@ -192,7 +192,7 @@ def _access_payload(spec: CodeSpec):
 def cmd_sss(args) -> int:
     spec = _spec_from_args(args)
     code = build_code(spec)
-    acc, payload = _access_payload(spec)
+    acc, payload = _access_payload(code)
     round_trip = None
     if acc.minimal_access_sets:
         group = acc.minimal_access_sets[0]
@@ -228,7 +228,7 @@ def cmd_export(args) -> int:
     if args.format == "generators":
         text = export_generators(build_code(spec))
     elif args.format == "access":
-        _, payload = _access_payload(spec)
+        _, payload = _access_payload(build_code(spec))
         text = json.dumps(payload, indent=2) + "\n"
     else:
         dist = _resolve_distribution(spec, args.method, args.threads, args.extrapolate)

@@ -14,12 +14,15 @@ The sharing scheme is the standard construction on the dual side of a
 generator matrix G with distinguished coordinate 0: pick a random
 codeword c with c_0 = secret and hand c_1 .. c_{N-1} to the parties at
 those coordinates.  A party set T reconstructs iff column 0 of G is an
-F_3 combination of the columns in T.  The minimal access sets are
-exactly the supports (minus coordinate 0) of minimal codewords whose
-coordinate 0 is nonzero.  Parties appearing in every minimal access set
-are dictators; because the Gray image repeats generator columns (the
-triple at a set position x reappears rotated at ux and u^2 x), dictators
-always exist here.
+F_3 combination of the columns in T.  A round trip is array work: the
+shares come from one message-times-G product, and reconstruction is one
+`linalg3.solve` on the columns of T (its elimination grows with the rank
+k, not with |T|) and a sum over the at most k nonzero coefficients.  The
+minimal access sets are exactly the supports (minus coordinate 0) of
+minimal codewords whose coordinate 0 is nonzero.  Parties appearing in
+every minimal access set are dictators; because the Gray image repeats
+generator columns (the triple at a set position x reappears rotated at
+ux and u^2 x), dictators always exist here.
 """
 
 from __future__ import annotations
@@ -139,39 +142,45 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     solving for one message coordinate at a pivot of column 0 and drawing
     the rest at random, so no rejection loop is needed.
     """
-    if secret not in (0, 1, 2):
+    if isinstance(secret, bool) or secret not in (0, 1, 2):
         raise ValueError("the secret must be a trit")
     G = code.generators
-    col0 = G[:, 0].astype(np.int64)
+    col0 = G[:, 0]
     pivots = np.flatnonzero(col0)
     if len(pivots) == 0:
         raise ValueError("column 0 of the generator matrix is zero; no secret slot")
     pivot = int(pivots[0])
     rng = random.Random(seed)
     msg = np.array([rng.randrange(3) for _ in range(code.dimension)], dtype=np.int64)
-    partial = int((np.delete(msg, pivot) * np.delete(col0, pivot)).sum() % 3)
-    msg[pivot] = ((secret - partial) * pow(int(col0[pivot]), -1, 3)) % 3
-    word = (msg @ G.astype(np.int64)) % 3
+    msg[pivot] = 0
+    # a nonzero trit is its own inverse
+    msg[pivot] = ((secret - msg @ col0) * col0[pivot]) % 3
+    word = (msg @ G) % 3
     if word[0] != secret:
         raise ArithmeticError("the sampled codeword does not carry the secret at position 0")
-    return {int(p): int(word[p]) for p in range(1, code.length)}
+    return dict(enumerate(word[1:].tolist(), start=1))
 
 
 def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
     """Recover the secret from shares at a qualified party set.
 
     Solves G[:, T] lam = G[:, 0] over F_3; the secret is then
-    sum lam_t * share_t.  Raises ValueError when T is not qualified.
+    sum lam_t * share_t over the (at most k) nonzero lam_t.  Raises
+    ValueError when a position is not an int in 1 .. N-1, a share is not
+    a trit, or T is not qualified.
     """
     if not shares:
         raise ValueError("no shares given")
+    # exact type: rejects bool, float, str and numpy positions alike
+    if set(map(type, shares)) != {int}:
+        raise ValueError("share positions must be ints")
     positions = sorted(shares)
     if positions[0] < 1 or positions[-1] >= code.length:
         raise ValueError("share positions must lie in 1 .. N-1")
-    if any(v not in (0, 1, 2) for v in shares.values()):
+    if not set(shares.values()) <= {0, 1, 2}:
         raise ValueError("share values must be trits")
     G = code.generators
-    lam = linalg3.solve(G[:, positions], G[:, 0])
+    lam = linalg3.solve(np.take(G, positions, axis=1), G[:, 0])
     if lam is None:
         raise ValueError("the given party set cannot reconstruct the secret")
-    return int(sum(int(l) * shares[p] for l, p in zip(lam, positions)) % 3)
+    return int(sum(int(lam[i]) * shares[positions[i]] for i in np.flatnonzero(lam)) % 3)

@@ -1,8 +1,10 @@
-"""Property tests of the F_3 row-space algebra the structural checks rest on.
+"""Property tests of the F_3 linear algebra the structural checks and shares rest on.
 
 Random small generator matrices are compared with brute force over all
-3^k codewords.  Hypothesis runs derandomized with no deadline, so the
-examples and the outcome are the same on every run.
+3^k codewords, and the pivot-search elimination with a row-by-row
+reference elimination and with brute force over all 3^n solutions.
+Hypothesis runs derandomized with no deadline, so the examples and the
+outcome are the same on every run.
 """
 
 import itertools
@@ -43,3 +45,89 @@ def test_row_space_test_equals_brute_force_membership(data):
 @given(ternary_matrices())
 def test_rank_is_log3_of_the_codeword_count(G):
     assert 3 ** linalg3.rank(G) == len(all_codewords(G))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=40):
+    """k x n trit matrices whose columns are all-zero, sparse or dense."""
+    k = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    mat = draw(arrays(np.int8, (k, n), elements=st.integers(0, 2)))
+    kinds = draw(arrays(np.int8, n, elements=st.sampled_from([0, 1, 2])))
+    sparse_mask = draw(arrays(np.bool_, (k, n), elements=st.booleans()))
+    sparse_mask &= draw(arrays(np.bool_, (k, n), elements=st.booleans()))
+    mat[:, kinds == 0] = 0
+    mat[:, kinds == 1] *= sparse_mask[:, kinds == 1]
+    return mat
+
+
+def reference_row_reduce(mat):
+    """Row-by-row Gauss-Jordan elimination mod 3, pivoting on the first nonzero row."""
+    a = np.array(mat, dtype=np.int64) % 3
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nonzero = [i for i in range(r, rows) if a[i, c]]
+        if not nonzero:
+            continue
+        sel = nonzero[0]
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, 3)) % 3
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % 3
+        pivots.append(c)
+        r += 1
+    return a.astype(np.int8), pivots
+
+
+def reference_solve(mat, rhs):
+    """Solve by reducing the augmented matrix [mat | rhs]."""
+    cols = mat.shape[1]
+    red, pivots = reference_row_reduce(np.concatenate([mat, rhs.reshape(-1, 1)], axis=1))
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int8)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, -1]
+    return x
+
+
+@PROPERTY
+@given(st.data())
+def test_pivot_search_equals_row_by_row_elimination(data):
+    mat = data.draw(sparse_matrices())
+    rhs = data.draw(arrays(np.int8, mat.shape[0], elements=st.integers(0, 2)))
+    reduced, pivots = linalg3.row_reduce(mat)
+    want, want_pivots = reference_row_reduce(mat)
+    assert reduced.dtype == np.int8
+    assert np.array_equal(reduced, want)
+    assert pivots == want_pivots
+    assert linalg3.rank(mat) == len(want_pivots)
+    for b in (rhs, mat[:, -1]):
+        got, expected = linalg3.solve(mat, b), reference_solve(mat, b)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+
+@PROPERTY
+@given(st.data())
+def test_solve_agrees_with_brute_force_over_all_solutions(data):
+    mat = data.draw(sparse_matrices(max_cols=6))
+    k, n = mat.shape
+    if data.draw(st.booleans()):
+        x0 = data.draw(arrays(np.int64, n, elements=st.integers(0, 2)))
+        rhs = (mat.astype(np.int64) @ x0) % 3
+    else:
+        rhs = data.draw(arrays(np.int64, k, elements=st.integers(0, 2)))
+    candidates = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int64)
+    solvable = ((candidates @ mat.T.astype(np.int64)) % 3 == rhs).all(axis=1).any()
+    x = linalg3.solve(mat, rhs)
+    assert (x is None) == (not solvable)
+    if x is not None:
+        assert (((mat.astype(np.int64) @ x) - rhs) % 3 == 0).all()

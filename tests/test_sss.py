@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from cubicode import linalg3
 from cubicode.sss import (
     ab_condition,
     access_structure,
@@ -88,6 +90,9 @@ def test_massey_shares_deterministic_and_complete():
     assert massey_shares(code, 2, seed=100) != a
     with pytest.raises(ValueError):
         massey_shares(code, 3)
+    for secret in (True, False):
+        with pytest.raises(ValueError):
+            massey_shares(code, secret)
 
 
 def test_round_trip_every_access_set():
@@ -115,8 +120,51 @@ def test_reconstruct_rejects_unqualified_sets():
         reconstruct({0: 1}, code)
     with pytest.raises(ValueError):
         reconstruct({1: 5}, code)
+    # parties 3 .. N-1 reconstruct, so next to them only the bad position can fail
+    qualified = {p: v for p, v in shares.items() if p > 2}
+    for bad in ({1.5: 0}, {True: shares[1]}, {"a": 1}, {2.0: shares[2]}):
+        with pytest.raises(ValueError):
+            reconstruct(bad, code)
+        with pytest.raises(ValueError):
+            reconstruct({**qualified, **bad}, code)
     # the full party set always reconstructs
     assert reconstruct(shares, code) == 1
+
+
+@pytest.mark.parametrize("kind,hyperplane_parties", [("lprime", 324), ("units", 648)])
+def test_reconstruct_m2_hyperplane_sets(kind, hyperplane_parties):
+    # the parties whose columns lie in y^perp, for y . g_0 != 0, span that
+    # hyperplane, which misses g_0; one party outside it completes the rank
+    code = build_code(CodeSpec(m=2, set_kind=kind))
+    G = code.generators.astype(np.int64)
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 3, code.dimension)
+    while y @ G[:, 0] % 3 == 0:
+        y = rng.integers(0, 3, code.dimension)
+    dots = y @ G % 3
+    inside = (np.flatnonzero(dots[1:] == 0) + 1).tolist()
+    outside = (np.flatnonzero(dots[1:]) + 1).tolist()
+    assert len(inside) == hyperplane_parties
+    assert linalg3.rank(G[:, inside]) == code.dimension - 1
+    for secret in (0, 1, 2):
+        shares = massey_shares(code, secret, seed=int(rng.integers(1 << 30)))
+        with pytest.raises(ValueError):
+            reconstruct({p: shares[p] for p in inside}, code)
+        extra = outside[int(rng.integers(len(outside)))]
+        assert reconstruct({p: shares[p] for p in inside + [extra]}, code) == secret
+
+
+def test_round_trip_every_access_set_m2():
+    rng = random.Random(2026)
+    trips = 0
+    for kind in ("lprime", "units"):
+        code = build_code(CodeSpec(m=2, set_kind=kind))
+        for group in access_structure(code).minimal_access_sets:
+            secret = rng.randrange(3)
+            shares = massey_shares(code, secret, seed=rng.randrange(1 << 30))
+            assert reconstruct({p: shares[p] for p in group}, code) == secret
+            trips += 1
+    assert trips == 484
 
 
 def test_superset_of_minimal_set_reconstructs():
