@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
 from .trace_code import CodeSpec, build_code, gray_positions
 
 
@@ -191,20 +191,16 @@ def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
     The minimum distance comes from the closed-form distribution when one
     is stated, else from exhaustive enumeration.  The dual certificate is
     attached wherever G can be built, i.e. in the defining-set scope.
+    m above the closed-form scope is refused before any arithmetic.
     """
-    from .weight_dist import enumerate_distribution, formula_distribution
+    from .weight_dist import auto_distribution
 
+    require_scope("closed form", spec.m)
     N = code_length(spec.m, spec.set_kind)
     K = 3 * spec.m
-    notes: list[str] = []
-    try:
-        dist = formula_distribution(spec, extrapolate=extrapolate)
-        if dist.note:
-            notes.append(dist.note)
-    except ValueError:
-        if spec.m > SCOPE_MAX_M["enumeration"]:
-            raise
-        dist = enumerate_distribution(spec)
+    dist = auto_distribution(spec, extrapolate=extrapolate)
+    notes = [dist.note] if dist.note else []
+    if dist.method == "enumerated":
         notes.append("minimum distance obtained by exhaustive enumeration")
     d = dist.min_nonzero_weight
     report = griesmer(N, K, d)

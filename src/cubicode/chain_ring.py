@@ -33,14 +33,17 @@ KIND_LPRIME = "lprime"
 KIND_UNITS = "units"
 KINDS = (KIND_LPRIME, KIND_UNITS)
 
-# The one scope table: the largest extension degree m each exhaustive or
-# materializing computation accepts.  Enforced through require_scope.
+# The one scope table: the largest extension degree m each exhaustive,
+# materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
     "defining set": 3,  # materialized as an (|L|, 3) array; bounds G and the dual certificate
     "exhaustive check": 2,  # injectivity, group action (every v in L), quasi-cyclic shift
     "enumeration": 3,
     "character sum": 2,
     "Gauss periods": 8,
+    # formula and bounds: above this some exact output has more digits than
+    # Python's default int-to-str limit (4300); lprime at m = 3004 still prints
+    "closed form": 3004,
     "codeword table": 2,  # all 3^{3m} codewords; the minimality census reads it
 }
 

@@ -34,6 +34,7 @@ from .sss import access_structure, massey_shares, minimal_codewords, reconstruct
 from .trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code, export_generators
 from .weight_dist import (
     WeightDistribution,
+    auto_distribution,
     charsum_distribution,
     distribution_csv,
     distribution_json,
@@ -81,11 +82,7 @@ def _resolve_distribution(
         return formula_distribution(spec, extrapolate=extrapolate)
     if method == "charsum":
         return charsum_distribution(spec)
-    # auto: prefer the closed form, fall back to enumeration
-    try:
-        return formula_distribution(spec, extrapolate=extrapolate)
-    except ValueError:
-        return enumerate_distribution(spec, threads=threads)
+    return auto_distribution(spec, threads=threads, extrapolate=extrapolate)
 
 
 def _spec_from_args(args) -> CodeSpec:

@@ -274,11 +274,15 @@ class GF3m:
 
     @property
     def trace_table(self) -> np.ndarray:
-        """(q,) int8 absolute traces."""
+        """(q,) int8 absolute traces.
+
+        The trace is F_3-linear, so tr(x) is the digit vector of x dotted
+        with the traces of the basis elements 3^i, mod 3.
+        """
         if "trace" not in self._tables:
-            self._tables["trace"] = np.array(
-                [self.trace(x) for x in range(self.q)], dtype=np.int8
-            )
+            digits = np.arange(self.q)[:, None] // 3 ** np.arange(self.m) % 3
+            basis = np.array([self.trace(3**i) for i in range(self.m)])
+            self._tables["trace"] = (digits @ basis % 3).astype(np.int8)
         return self._tables["trace"]
 
     @property

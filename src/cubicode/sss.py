@@ -10,16 +10,22 @@ so the search runs over class representatives, whose supports are the
 rows of one boolean (classes, N) matrix; the screen reads its row
 weights and the access structure its rows.
 
-The sharing scheme is the standard construction on the dual side of a
-generator matrix G with distinguished coordinate 0: pick a random
-codeword c with c_0 = secret and hand c_1 .. c_{N-1} to the parties at
-those coordinates.  A party set T reconstructs iff column 0 of G is an
-F_3 combination of the columns in T.  A round trip is array work: the
-shares come from one message-times-G product, and reconstruction is one
-`linalg3.solve` on the columns of T (its elimination grows with the rank
-k, not with |T|) and a sum over the at most k nonzero coefficients.  The
-minimal access sets are exactly the supports (minus coordinate 0) of
-minimal codewords whose coordinate 0 is nonzero.  Parties appearing in
+The shares are codewords of C itself: with a generator matrix G and
+distinguished coordinate 0, pick a random codeword c with c_0 = secret
+and hand c_1 .. c_{N-1} to the parties at those coordinates.  A party
+set T reconstructs iff column 0 of G is an F_3 combination of the
+columns in T.  A round trip is array work: the shares come from one
+message-times-G product, and reconstruction is one `linalg3.solve` on
+the columns of T (its elimination grows with the rank k, not with |T|)
+and a sum over the at most k nonzero coefficients.
+
+The access structure lists the supports (minus coordinate 0) of minimal
+codewords of C whose coordinate 0 is nonzero.  By Massey's
+correspondence these are the minimal access sets of the scheme built on
+the dual code C^perp, not of the scheme massey_shares deals on C: every
+listed set holds a party whose column is a multiple of column 0, so it
+is qualified but not minimal for these shares.  This mismatch is an
+open defect; dealing codewords of C^perp would fix it.  Parties in
 every minimal access set are dictators; because the Gray image repeats
 generator columns (the triple at a set position x reappears rotated at
 ux and u^2 x), dictators always exist here.

@@ -138,6 +138,8 @@ class EvalContext:
         self.x2 = arr[:, 1].copy()
         self.x3 = arr[:, 2].copy()
         self.n = len(arr)
+        # scalars per lee_weights call in the enumerations: bounds the
+        # (scalar, coordinate) pairs one call materializes
         self.step = max(1, _CHUNK_ELEMS // self.n)
         tm = self.field.trace_mul_table
         zero = np.zeros((self.q, self.n), dtype=tm.dtype)
@@ -148,16 +150,6 @@ class EvalContext:
 
     def scalar_count(self) -> int:
         return self.q**3
-
-    def chunks(self, lo: int = 0, hi: int | None = None):
-        """Consecutive scalar index arrays covering lo .. hi - 1 (default: all).
-
-        Each holds step = max(1, _CHUNK_ELEMS // n) scalars, which bounds
-        the (scalar, coordinate) pairs one evaluator call materializes.
-        """
-        hi = self.scalar_count() if hi is None else hi
-        for start in range(lo, hi, self.step):
-            yield np.arange(start, min(hi, start + self.step))
 
     def trace_triples(self, scalars) -> np.ndarray:
         """(len(scalars), n, 3) standard-coordinate words Tr(a x)."""

@@ -12,9 +12,11 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
         {0: 1,  2(3^{3m} - 3^{2m}): 3^{3m} - 3^m,  2 * 3^{3m}: 3^m - 1}
 
 The lprime pattern for m == 0 (mod 4) is unproven and refused unless
-explicitly extrapolated.  The enumeration path scores every scalar
-against the whole defining set, and the character-sum path recovers each
-weight from sums of cube roots of unity over the Gray image via
+explicitly extrapolated.  The enumeration path scores one scalar per
+orbit of the group {+-1, +-u, +-u^2} against the whole defining set and
+counts its Lee weight with the orbit's size (ev(u a) rotates every
+triple of ev(a), ev(-a) = -ev(a)), and the character-sum path recovers
+each weight from sums of cube roots of unity over the Gray image via
 
     w = (2N - theta(a) - theta(2a)) / 3,
 
@@ -25,6 +27,7 @@ sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, Triple, code_length, get_ring, require_scope
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, Triple, code_length, get_ring, require_scope
+from .gf3m import get_field
 from .trace_code import CodeSpec, get_eval_context, index_of_scalar
 
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
@@ -77,11 +81,10 @@ class GaussPeriods:
 
 def gauss_periods(m: int) -> GaussPeriods:
     require_scope("Gauss periods", m)
-    from .gf3m import get_field
-
     F = get_field(m)
-    sq = complex(sum(_OMEGA[F.trace(x)] for x in F.squares()))
-    ns = complex(sum(_OMEGA[F.trace(x)] for x in F.nonsquares()))
+    trace = F.trace_table.tolist()
+    sq = complex(sum(_OMEGA[trace[x]] for x in F.squares()))
+    ns = complex(sum(_OMEGA[trace[x]] for x in F.nonsquares()))
     if m % 2 == 0:
         root = 3 ** (m // 2)
         g = root if m % 4 == 2 else -root
@@ -175,14 +178,49 @@ def _finish(counts: Counter, spec: CodeSpec, method: str, note: str | None = Non
     )
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the group {+-1, +-u, +-u^2} on the 3^{3m} scalar indices.
+
+    Returns read-only (representatives, sizes): the least index of each
+    orbit, ascending, and the number of scalars in it.  In nilpotent
+    coordinates u (a1, a2, a3) = (a1, a1 + a2, a2 + a3) and -a negates
+    all three, so the orbits come from field addition alone and do not
+    depend on the coordinate set.  ev(u a) is ev(a) with every triple
+    rotated and ev(-a) = -ev(a), so an orbit has one Lee weight.  There
+    are 1 + (q - 1)/2 + (q^3 - q)/6 orbits: {0}, the pairs {+-(0, 0, c)}
+    and sextuples.  Representatives with a1 != 0 come in runs of all q
+    values of a3, so EvalContext.lee_weights shares their H planes.
+    """
+    require_scope("enumeration", m)
+    F = get_field(m)
+    q = F.q
+    add = F.add_table.astype(np.int64)
+    neg = np.diagonal(add)  # -x = x + x in characteristic 3
+    index = np.arange(q**3)
+    a1, a2, a3 = np.unravel_index(index, (q, q, q))
+    least = index.copy()
+    for _ in range(3):  # a, u a, u^2 a and their negatives
+        for image in ((a1, a2, a3), (neg[a1], neg[a2], neg[a3])):
+            np.minimum(least, np.ravel_multi_index(image, (q, q, q)), out=least)
+        a2, a3 = add[a1, a2], add[a2, a3]
+    reps = np.flatnonzero(least == index)
+    sizes = np.bincount(least)[reps]
+    reps.flags.writeable = False
+    sizes.flags.writeable = False
+    return reps, sizes
+
+
 def _weight_histogram(args) -> Counter:
+    """Lee weight -> scalar count over orbit representatives lo .. hi - 1."""
     m, kind, lo, hi = args
     ctx = get_eval_context(m, kind)
+    reps, sizes = scalar_orbits(m)
     counts: Counter = Counter()
-    for idx in ctx.chunks(lo, hi):
-        vals, cnt = np.unique(ctx.lee_weights(idx), return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
-            counts[v] += c
+    for start in range(lo, hi, ctx.step):
+        end = min(hi, start + ctx.step)
+        for w, size in zip(ctx.lee_weights(reps[start:end]).tolist(), sizes[start:end].tolist()):
+            counts[w] += size
     return counts
 
 
@@ -192,10 +230,11 @@ def pool_size(threads: int, jobs: int) -> int:
 
 
 def scalar_ranges(total: int, step: int, threads: int) -> list[tuple[int, int]]:
-    """Split scalars 0 .. total - 1 into at most threads ranges of whole chunks.
+    """Split positions 0 .. total - 1 into at most threads ranges of whole chunks.
 
-    Chunks are the step-sized blocks EvalContext.chunks walks, so a range
-    never splits a chunk and a job of one chunk is one range.
+    Chunks are step-sized blocks of the orbit representatives, the
+    scalars one EvalContext.lee_weights call scores, so a range never
+    splits a chunk and a job of one chunk is one range.
     """
     chunks = -(-total // step)
     parts = min(threads, chunks)
@@ -204,18 +243,20 @@ def scalar_ranges(total: int, step: int, threads: int) -> list[tuple[int, int]]:
 
 
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
-    """Brute force: Lee weight of ev(a) for every scalar a.
+    """Brute force: the Lee weight of ev(a) for one scalar a per {+-u^i}-orbit.
 
-    Parallelizes over contiguous scalar ranges of whole chunks, one per
-    thread, on a pool of pool_size workers; a single range runs in
-    process.  Per-range histograms are merged by addition, so the result
-    is independent of threads.
+    Each weight counts with its orbit's size, so the histogram covers
+    all 3^{3m} scalars (scalar_orbits).  Parallelizes over contiguous
+    ranges of whole chunks of the representatives, one per thread, on a
+    pool of pool_size workers; a single range runs in process.
+    Per-range histograms are merged by addition, so the result is
+    independent of threads.
     """
     require_scope("enumeration", spec.m)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     ctx = get_eval_context(spec.m, spec.set_kind)
-    total = ctx.scalar_count()
+    total = len(scalar_orbits(spec.m)[0])
     jobs = [(spec.m, spec.set_kind, lo, hi) for lo, hi in scalar_ranges(total, ctx.step, threads)]
     workers = pool_size(threads, len(jobs))
     if workers == 1:
@@ -232,7 +273,10 @@ def scalar_weights(spec: CodeSpec) -> np.ndarray:
     """Lee weight of ev(a) for every scalar, in nilpotent index order."""
     require_scope("enumeration", spec.m)
     ctx = get_eval_context(spec.m, spec.set_kind)
-    return np.concatenate([ctx.lee_weights(idx) for idx in ctx.chunks()])
+    every = np.arange(ctx.scalar_count())
+    return np.concatenate(
+        [ctx.lee_weights(every[lo : lo + ctx.step]) for lo in range(0, len(every), ctx.step)]
+    )
 
 
 def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
@@ -248,6 +292,7 @@ def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
 
 def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:
     """Closed-form distribution for the supported (m, kind) combinations."""
+    require_scope("closed form", spec.m)
     m = spec.m
     size = 3 ** (3 * m)
     q = 3**m
@@ -278,6 +323,22 @@ def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDis
         }
     counts = Counter(dict(sorted(entries.items())))
     return _finish(counts, spec, "formula", note)
+
+
+def auto_distribution(
+    spec: CodeSpec, threads: int = 1, extrapolate: bool = False
+) -> WeightDistribution:
+    """The closed form where one is stated, else enumeration within its scope.
+
+    Above the enumeration scope the closed form's refusal is raised, so
+    the error names the reason the formula did not apply.
+    """
+    try:
+        return formula_distribution(spec, extrapolate=extrapolate)
+    except ValueError:
+        if spec.m > SCOPE_MAX_M["enumeration"]:
+            raise
+        return enumerate_distribution(spec, threads=threads)
 
 
 # ---------------------------------------------------------------------------

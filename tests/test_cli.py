@@ -63,6 +63,37 @@ def test_units_formula_has_no_degree_cap(capsys):
     assert sum(entries.values()) == 3**27
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("bounds", "--m", "5001"),
+        ("weights", "--m", "5001", "--set", "units", "--method", "formula", "--output", "json"),
+        ("weights", "--m", "5001"),  # auto does not fall back to enumeration here
+    ),
+)
+def test_huge_m_refused_before_any_arithmetic(capsys, monkeypatch, argv):
+    # the exact outputs at this m would exceed Python's 4300-digit int-to-str limit
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("closed-form arithmetic started")
+
+    monkeypatch.setattr("cubicode.bounds.code_length", forbidden)
+    monkeypatch.setattr("cubicode.weight_dist._validate", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: closed form: supported for m <= 3004, got m=5001\n"
+
+
+def test_closed_form_cap_keeps_every_printable_answer(capsys):
+    # the largest m that printed before the cap: its 4300-digit weights still do
+    code, out, _ = run(
+        capsys, "weights", "--m", "3004", "--set", "lprime", "--extrapolate",
+        "--method", "formula", "--output", "json",
+    )
+    assert code == 0
+    assert max(len(w) for w in json.loads(out)["entries"]) == 4300
+
+
 def test_weights_extrapolate(capsys):
     code, out, _ = run(
         capsys, "weights", "--m", "4", "--set", "lprime", "--extrapolate",

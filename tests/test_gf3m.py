@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cubicode.gf3m import GF3m, get_field, smallest_irreducible
@@ -113,6 +114,13 @@ def test_numpy_tables_agree_with_scalar_ops():
             assert int(F.add_table[x, y]) == F.add(x, y)
             assert int(F.trace_mul_table[x, y]) == F.trace(F.mul(x, y))
         assert int(F.trace_table[x]) == F.trace(x)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_trace_table_equals_elementwise_trace(m):
+    F = get_field(m)
+    assert F.trace_table.dtype == np.int8
+    assert F.trace_table.tolist() == [F.trace(x) for x in F.elements()]
 
 
 def test_coeffs_roundtrip():

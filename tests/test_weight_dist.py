@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cubicode
-from cubicode.chain_ring import code_length
+from cubicode.chain_ring import code_length, get_ring
 from cubicode.trace_code import CodeSpec, scalar_from_index
 from cubicode.weight_dist import (
     charsum_distribution,
@@ -19,6 +19,7 @@ from cubicode.weight_dist import (
     formula_distribution,
     gauss_periods,
     pool_size,
+    scalar_orbits,
     scalar_ranges,
     scalar_weights,
     vector_char_sum,
@@ -63,6 +64,64 @@ def test_threaded_m3_enumeration_merges_to_same_histogram():
         enumerate_distribution(spec, threads=3).entries
         == enumerate_distribution(spec, threads=1).entries
     )
+
+
+def _standard_orbit_maps(m):
+    """Index maps of a -> u a and a -> -a, built in standard coordinates.
+
+    u (a + u b + u^2 c) = c + u a + u^2 b rotates the triple, so this
+    route shares nothing with the nilpotent formulas of scalar_orbits.
+    """
+    ring = get_ring(m)
+    triples = [scalar_from_index(m, i) for i in range(3 ** (3 * m))]
+    position = {t: i for i, t in enumerate(triples)}
+    times_u = np.array([position[(c, a, b)] for a, b, c in triples])
+    negated = np.array([position[ring.neg(t)] for t in triples])
+    return times_u, negated
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_orbit_map_counts_and_minima(m):
+    q = 3**m
+    reps, sizes = scalar_orbits(m)
+    assert int(sizes.sum()) == 3 ** (3 * m)
+    assert len(reps) == 1 + (q - 1) // 2 + (q**3 - q) // 6
+    assert sorted(set(sizes.tolist())) == [1, 2, 6]
+    times_u, negated = _standard_orbit_maps(m)
+    orbits = {}
+    for i in range(3 ** (3 * m)):
+        a, ua = i, int(times_u[i])
+        members = {a, ua, int(times_u[ua])}
+        members |= {int(negated[x]) for x in members}
+        orbits[min(members)] = len(members)
+    assert reps.tolist() == sorted(orbits)
+    assert sizes.tolist() == [orbits[r] for r in sorted(orbits)]
+
+
+def test_orbit_map_is_cached_and_read_only():
+    reps, sizes = scalar_orbits(2)
+    assert scalar_orbits(2)[0] is reps
+    assert not reps.flags.writeable and not sizes.flags.writeable
+    assert reps[0] == 0 and sizes[0] == 1
+    with pytest.raises(ValueError):
+        scalar_orbits(4)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2) for kind in ("lprime", "units")], ids=str)
+def test_scalar_weights_invariant_under_u_and_negation(spec):
+    weights = scalar_weights(spec)
+    times_u, negated = _standard_orbit_maps(spec.m)
+    assert (weights[times_u] == weights).all()
+    assert (weights[negated] == weights).all()
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_orbit_histogram_equals_every_scalar_m3(kind):
+    spec = CodeSpec(m=3, set_kind=kind)
+    values, counts = np.unique(scalar_weights(spec), return_counts=True)
+    every = dict(zip(values.tolist(), counts.tolist()))
+    for threads in (1, 2):
+        assert enumerate_distribution(spec, threads=threads).entries == every
 
 
 def test_formula_m3_two_weight_shapes():
