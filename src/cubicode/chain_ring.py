@@ -42,8 +42,8 @@ SCOPE_MAX_M = {
     "character sum": 2,
     "Gauss periods": 8,
     # formula and bounds: above this some exact output has more digits than
-    # Python's default int-to-str limit (4300); lprime at m = 3004 still prints
-    "closed form": 3004,
+    # Python's default int-to-str limit (4300); units weights 2 * 3^{3m} do at m = 3004
+    "closed form": 3003,
     "codeword table": 2,  # all 3^{3m} codewords; the minimality census reads it
 }
 

@@ -10,25 +10,21 @@ so the search runs over class representatives, whose supports are the
 rows of one boolean (classes, N) matrix; the screen reads its row
 weights and the access structure its rows.
 
-The shares are codewords of C itself: with a generator matrix G and
-distinguished coordinate 0, pick a random codeword c with c_0 = secret
-and hand c_1 .. c_{N-1} to the parties at those coordinates.  A party
-set T reconstructs iff column 0 of G is an F_3 combination of the
-columns in T.  A round trip is array work: the shares come from one
-message-times-G product, and reconstruction is one `linalg3.solve` on
-the columns of T (its elimination grows with the rank k, not with |T|)
-and a sum over the at most k nonzero coefficients.
+The scheme is Massey's, built on the dual code C^perp with distinguished
+coordinate 0: the dealer draws a uniform x in C^perp with x_0 = secret
+and hands x_1 .. x_{N-1} to the parties at those coordinates.  A party
+set T is qualified iff some codeword c of C with c_0 = 1 is zero off
+{0} and T; then c . x = 0 gives the secret as -sum_t c_t x_t.  So the
+minimal access sets are the supports (minus coordinate 0) of the
+minimal codewords of C whose coordinate 0 is nonzero, which is what
+access_structure lists.  Both directions read one reduction of G cached
+on the code: dealing solves G x = 0 on its pivot columns, and
+reconstruction is one masked `linalg3.eliminate` of its bit-sliced rows
+and an inner product by popcounts.
 
-The access structure lists the supports (minus coordinate 0) of minimal
-codewords of C whose coordinate 0 is nonzero.  By Massey's
-correspondence these are the minimal access sets of the scheme built on
-the dual code C^perp, not of the scheme massey_shares deals on C: every
-listed set holds a party whose column is a multiple of column 0, so it
-is qualified but not minimal for these shares.  This mismatch is an
-open defect; dealing codewords of C^perp would fix it.  Parties in
-every minimal access set are dictators; because the Gray image repeats
-generator columns (the triple at a set position x reappears rotated at
-ux and u^2 x), dictators always exist here.
+Parties in every minimal access set are dictators; because the Gray
+image repeats generator columns (the triple at a set position x
+reappears rotated at ux and u^2 x), dictators always exist here.
 """
 
 from __future__ import annotations
@@ -141,52 +137,90 @@ def access_structure(code: TernaryCode) -> AccessStructure:
     )
 
 
-def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> dict[int, int]:
-    """Shares {position: trit} for parties 1 .. N-1 from a random codeword.
+# row b holds the five base-3 digits of the byte value b < 243 = 3^5
+_DIGITS = ((np.arange(243)[:, None] // 3 ** np.arange(5)) % 3).astype(np.int8)
 
-    The codeword is sampled uniformly among those with c_0 = secret by
-    solving for one message coordinate at a pivot of column 0 and drawing
-    the rest at random, so no rejection loop is needed.
+
+def _trits(rng: random.Random, count: int) -> np.ndarray:
+    """count uniform trits from random bytes: a byte below 243 gives its five
+    base-3 digits, and the other bytes are rejected."""
+    chunks, have = [], 0
+    while have < count:
+        nbytes = (count - have) // 4 + 8  # 5 trits a byte, about 5% rejected
+        raw = rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little")
+        raw = np.frombuffer(raw, dtype=np.uint8)
+        chunks.append(_DIGITS[raw[raw < 243]].reshape(-1))
+        have += chunks[-1].size
+    return np.concatenate(chunks)[:count]
+
+
+def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> dict[int, int]:
+    """Shares {position: trit} for parties 1 .. N-1 from a random dual codeword.
+
+    x is uniform among the words of C^perp with x_0 = secret.  With R the
+    reduced rows of G and P their pivot columns, G x = 0 iff
+    x[P] = -R[:, F] x[F] on the free columns F.  Column 0 is the first
+    pivot, so x_0 = -R[0, F] x[F]: every free coordinate but one j with
+    R[0, j] != 0 is drawn at random, and x_j is solved for so that
+    x_0 = secret.  The trits come from random.Random(seed).
     """
     if isinstance(secret, bool) or secret not in (0, 1, 2):
         raise ValueError("the secret must be a trit")
-    G = code.generators
-    col0 = G[:, 0]
-    pivots = np.flatnonzero(col0)
-    if len(pivots) == 0:
+    red = code.reduction()
+    if not red.pivots or red.pivots[0] != 0:
         raise ValueError("column 0 of the generator matrix is zero; no secret slot")
-    pivot = int(pivots[0])
-    rng = random.Random(seed)
-    msg = np.array([rng.randrange(3) for _ in range(code.dimension)], dtype=np.int64)
-    msg[pivot] = 0
-    # a nonzero trit is its own inverse
-    msg[pivot] = ((secret - msg @ col0) * col0[pivot]) % 3
-    word = (msg @ G) % 3
-    if word[0] != secret:
-        raise ArithmeticError("the sampled codeword does not carry the secret at position 0")
-    return dict(enumerate(word[1:].tolist(), start=1))
+    # R[0, P] is e_0, so the nonzero columns of row 0 after column 0 are free
+    slots = np.flatnonzero(red.rows[0, 1:])
+    if len(slots) == 0:
+        raise ValueError("e_0 is a codeword, so every dual codeword is 0 at position 0")
+    j = int(slots[0]) + 1
+    # the draws at the pivot columns are discarded
+    x = _trits(random.Random(seed), code.length).astype(np.int64)
+    x[red.pivots] = 0
+    x[j] = 0
+    # with x[P] = 0 and x_j = 0, R x sums the other free columns; a nonzero
+    # trit is its own inverse
+    partial = red.rows @ x
+    x[j] = (-int(red.rows[0, j]) * (secret + partial[0])) % 3
+    x[red.pivots] = -(partial + red.rows[:, j] * x[j]) % 3
+    if x[0] != secret or ((code.generators @ x) % 3).any():
+        raise ArithmeticError("the sampled word is not a dual codeword carrying the secret")
+    return dict(enumerate(x[1:].tolist(), start=1))
 
 
 def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
-    """Recover the secret from shares at a qualified party set.
+    """Recover the secret from the shares of a qualified party set T.
 
-    Solves G[:, T] lam = G[:, 0] over F_3; the secret is then
-    sum lam_t * share_t over the (at most k) nonzero lam_t.  Raises
-    ValueError when a position is not an int in 1 .. N-1, a share is not
-    a trit, or T is not qualified.
+    The codewords of C that are zero off {0} and T are the row-space words
+    vanishing on the other columns S, so one elimination of the cached
+    reduced rows with pivots restricted to S leaves rows spanning them.
+    One with a nonzero coordinate 0, scaled to c_0 = 1, gives the secret
+    -sum_t c_t x_t.  Raises ValueError when a position is not an int in
+    1 .. N-1, a share is not a trit, or T is not qualified (no left-over
+    row is nonzero at 0).
     """
     if not shares:
         raise ValueError("no shares given")
     # exact type: rejects bool, float, str and numpy positions alike
     if set(map(type, shares)) != {int}:
         raise ValueError("share positions must be ints")
-    positions = sorted(shares)
-    if positions[0] < 1 or positions[-1] >= code.length:
+    try:
+        positions = np.fromiter(shares, dtype=np.int64, count=len(shares))
+    except OverflowError:
+        positions = None
+    if positions is None or positions.min() < 1 or positions.max() >= code.length:
         raise ValueError("share positions must lie in 1 .. N-1")
     if not set(shares.values()) <= {0, 1, 2}:
         raise ValueError("share values must be trits")
-    G = code.generators
-    lam = linalg3.solve(np.take(G, positions, axis=1), G[:, 0])
-    if lam is None:
+    x = np.zeros(code.length, dtype=np.int8)
+    x[positions] = np.fromiter(shares.values(), dtype=np.int8, count=len(shares))
+    party = np.zeros(code.length, dtype=bool)
+    party[positions] = True
+    party[0] = True
+    _, _, rest = linalg3.eliminate(code.reduction().planes, linalg3.bits(~party))
+    c = next((row for row in rest if (row[0] | row[1]) & 1), None)
+    if c is None:
         raise ValueError("the given party set cannot reconstruct the secret")
-    return int(sum(int(lam[i]) * shares[positions[i]] for i in np.flatnonzero(lam)) % 3)
+    if c[1] & 1:
+        c = (c[1], c[0])
+    return -linalg3.dot(c, linalg3.pack(x)[0]) % 3

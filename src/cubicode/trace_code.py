@@ -228,6 +228,20 @@ def ring_basis(m: int) -> tuple[Triple, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """The reduced row echelon form of a generator matrix G.
+
+    rows holds its rank nonzero rows R (int8), pivots their pivot columns
+    P (R[:, P] is the identity), and planes the rows R bit-sliced by
+    linalg3.pack.
+    """
+
+    rows: np.ndarray
+    pivots: list[int]
+    planes: list[linalg3.Planes]
+
+
 class TernaryCode:
     """Ternary Gray image of a trace code, held as a generator matrix."""
 
@@ -237,6 +251,7 @@ class TernaryCode:
         self.dimension, self.length = generators.shape
         self.layout = spec.layout
         self._codewords: np.ndarray | None = None
+        self._reduction: Reduction | None = None
 
     def __repr__(self) -> str:
         return (
@@ -259,6 +274,14 @@ class TernaryCode:
                     words[digit * size : (digit + 1) * size] = (words[:size] + digit * g) % 3
             self._codewords = words
         return self._codewords
+
+    def reduction(self) -> Reduction:
+        """The reduced row echelon form of the generators, computed once."""
+        if self._reduction is None:
+            reduced, pivots = linalg3.row_reduce(self.generators)
+            rows = reduced[: len(pivots)]
+            self._reduction = Reduction(rows, pivots, linalg3.pack(rows))
+        return self._reduction
 
 
 def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:

@@ -312,8 +312,9 @@ def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDis
                 note = "unverified extrapolation"
         else:
             raise ValueError(
-                "the closed form for the lprime family is stated only for m odd "
-                "or m == 2 (mod 4); pass extrapolate=True to emit the unproven pattern"
+                "the closed form for the lprime family is stated only for m odd or "
+                "m == 2 (mod 4); pass --extrapolate (extrapolate=True) to emit the "
+                "unproven pattern"
             )
     else:
         entries = {

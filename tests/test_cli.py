@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubicode
 from cubicode.cli import build_claims, main
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
@@ -69,6 +74,9 @@ def test_units_formula_has_no_degree_cap(capsys):
         ("bounds", "--m", "5001"),
         ("weights", "--m", "5001", "--set", "units", "--method", "formula", "--output", "json"),
         ("weights", "--m", "5001"),  # auto does not fall back to enumeration here
+        # the first m at which the units weight 2 * 3^{3m} has 4301 digits
+        ("weights", "--m", "3004", "--set", "units", "--output", "json"),
+        ("bounds", "--m", "3004", "--set", "units"),
     ),
 )
 def test_huge_m_refused_before_any_arithmetic(capsys, monkeypatch, argv):
@@ -81,17 +89,47 @@ def test_huge_m_refused_before_any_arithmetic(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: closed form: supported for m <= 3004, got m=5001\n"
+    assert err == f"error: closed form: supported for m <= 3003, got m={argv[2]}\n"
 
 
 def test_closed_form_cap_keeps_every_printable_answer(capsys):
-    # the largest m that printed before the cap: its 4300-digit weights still do
-    code, out, _ = run(
-        capsys, "weights", "--m", "3004", "--set", "lprime", "--extrapolate",
-        "--method", "formula", "--output", "json",
+    # at the cap every closed-form weight prints: the largest has 4299 digits
+    for kind in ("lprime", "units"):
+        code, out, _ = run(
+            capsys, "weights", "--m", "3003", "--set", kind, "--method", "formula",
+            "--output", "json",
+        )
+        assert code == 0
+        assert max(len(w) for w in json.loads(out)["entries"]) == 4299
+
+
+def test_lprime_refusal_names_the_extrapolate_flag(capsys):
+    code, out, err = run(capsys, "weights", "--m", "4", "--set", "lprime")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the closed form for the lprime family is stated only for m odd or "
+        "m == 2 (mod 4); pass --extrapolate (extrapolate=True) to emit the "
+        "unproven pattern\n"
     )
-    assert code == 0
-    assert max(len(w) for w in json.loads(out)["entries"]) == 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("weights", "--m", "1", "--set", "units", "--output", "json"),
+        ("weights", "--m", "4", "--set", "lprime"),
+    ),
+)
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicode", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_weights_extrapolate(capsys):

@@ -1,20 +1,23 @@
 """Property tests of the F_3 linear algebra the structural checks and shares rest on.
 
 Random small generator matrices are compared with brute force over all
-3^k codewords, and the pivot-search elimination with a row-by-row
-reference elimination and with brute force over all 3^n solutions.
+3^k codewords, the bit-sliced elimination with a row-by-row reference
+elimination and with brute force over all 3^n solutions, and share
+reconstruction on random party sets with brute force over the codewords.
 Hypothesis runs derandomized with no deadline, so the examples and the
 outcome are the same on every run.
 """
 
+import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cubicode import linalg3, trace_code
+from cubicode import linalg3, sss, trace_code
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -131,3 +134,43 @@ def test_solve_agrees_with_brute_force_over_all_solutions(data):
     assert (x is None) == (not solvable)
     if x is not None:
         assert (((mat.astype(np.int64) @ x) - rhs) % 3 == 0).all()
+
+
+@PROPERTY
+@given(st.data())
+def test_masked_elimination_leaves_the_words_vanishing_on_the_mask(data):
+    G = data.draw(ternary_matrices())
+    mask = data.draw(arrays(np.bool_, G.shape[1], elements=st.booleans()))
+    done, pivots, rest = linalg3.eliminate(linalg3.pack(G), linalg3.bits(mask))
+    assert all(mask[c] for c in pivots)
+    assert np.array_equal(linalg3.unpack(done, G.shape[1])[:, pivots], np.eye(len(pivots)))
+    left = linalg3.unpack(rest, G.shape[1])
+    spanned = all_codewords(left) if len(rest) else {(0,) * G.shape[1]}
+    assert spanned == {w for w in all_codewords(G) if not any(np.array(w)[mask])}
+
+
+@functools.cache
+def m1_code(kind):
+    return trace_code.build_code(trace_code.CodeSpec(m=1, set_kind=kind))
+
+
+@PROPERTY
+@given(st.data())
+def test_reconstruct_on_random_party_sets_m1(data):
+    code = m1_code(data.draw(st.sampled_from(["lprime", "units"])))
+    order = data.draw(st.permutations(range(1, code.length)))
+    # a short head or a long tail of the order, so both outcomes occur
+    cut = data.draw(st.integers(1, code.length - 1))
+    party = sorted(order[:cut] if data.draw(st.booleans()) else order[cut - 1 :])
+    secret = data.draw(st.integers(0, 2))
+    shares = sss.massey_shares(code, secret, seed=data.draw(st.integers(0, 2**32)))
+    # qualified iff some codeword nonzero at 0 is zero off {0} and the party set
+    outside = np.setdiff1d(np.arange(1, code.length), party)
+    words = code.codewords()
+    qualified = bool(((words[:, 0] != 0) & ~words[:, outside].any(axis=1)).any())
+    picked = {p: shares[p] for p in party}
+    if qualified:
+        assert sss.reconstruct(picked, code) == secret
+    else:
+        with pytest.raises(ValueError):
+            sss.reconstruct(picked, code)

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from cubicode import linalg3
 from cubicode.sss import (
     ab_condition,
     access_structure,
@@ -63,21 +62,18 @@ def test_access_structure_m1_lprime():
 
 
 def test_dictator_columns_are_proportional_to_the_secret_column():
-    # a dictator's share is a fixed nonzero multiple of the secret, because
-    # the Gray image repeats the secret column up to scalar at u x and u^2 x
+    # the Gray image repeats the secret column up to scalar at u x and u^2 x;
+    # a lone dictator is still unqualified: no codeword is zero off {0, p}
     code = build_code(CodeSpec(m=1, set_kind="lprime"))
     G = code.generators.astype(int)
     acc = access_structure(code)
     col0 = G[:, 0]
+    shares = massey_shares(code, 1, seed=0)
     for p in acc.dictators:
         col = G[:, p]
         assert any(((lam * col0) % 3 == col).all() for lam in (1, 2))
-        assert reconstruct_single(code, p)
-
-
-def reconstruct_single(code, party):
-    shares = massey_shares(code, 1, seed=0)
-    return reconstruct({party: shares[party]}, code) == 1
+        with pytest.raises(ValueError):
+            reconstruct({p: shares[p]}, code)
 
 
 def test_massey_shares_deterministic_and_complete():
@@ -122,7 +118,7 @@ def test_reconstruct_rejects_unqualified_sets():
         reconstruct({1: 5}, code)
     # parties 3 .. N-1 reconstruct, so next to them only the bad position can fail
     qualified = {p: v for p, v in shares.items() if p > 2}
-    for bad in ({1.5: 0}, {True: shares[1]}, {"a": 1}, {2.0: shares[2]}):
+    for bad in ({1.5: 0}, {True: shares[1]}, {"a": 1}, {2.0: shares[2]}, {1 << 70: 0}, {-(1 << 70): 0}):
         with pytest.raises(ValueError):
             reconstruct(bad, code)
         with pytest.raises(ValueError):
@@ -131,27 +127,46 @@ def test_reconstruct_rejects_unqualified_sets():
     assert reconstruct(shares, code) == 1
 
 
-@pytest.mark.parametrize("kind,hyperplane_parties", [("lprime", 324), ("units", 648)])
-def test_reconstruct_m2_hyperplane_sets(kind, hyperplane_parties):
-    # the parties whose columns lie in y^perp, for y . g_0 != 0, span that
-    # hyperplane, which misses g_0; one party outside it completes the rank
+@pytest.mark.parametrize("kind,support_parties", [("lprime", 647), ("units", 1295)])
+def test_reconstruct_m2_codeword_supports(kind, support_parties):
+    # c = yG with c_0 != 0 is zero off {0} and T = supp(c) \ {0}, so T is
+    # qualified; c is minimal, so no codeword nonzero at 0 is zero off {0}
+    # and T minus one party, and that set is unqualified
     code = build_code(CodeSpec(m=2, set_kind=kind))
     G = code.generators.astype(np.int64)
     rng = np.random.default_rng(5)
     y = rng.integers(0, 3, code.dimension)
     while y @ G[:, 0] % 3 == 0:
         y = rng.integers(0, 3, code.dimension)
-    dots = y @ G % 3
-    inside = (np.flatnonzero(dots[1:] == 0) + 1).tolist()
-    outside = (np.flatnonzero(dots[1:]) + 1).tolist()
-    assert len(inside) == hyperplane_parties
-    assert linalg3.rank(G[:, inside]) == code.dimension - 1
+    support = (np.flatnonzero((y @ G % 3)[1:]) + 1).tolist()
+    assert len(support) == support_parties
     for secret in (0, 1, 2):
         shares = massey_shares(code, secret, seed=int(rng.integers(1 << 30)))
+        assert reconstruct({p: shares[p] for p in support}, code) == secret
+        dropped = support[int(rng.integers(len(support)))]
         with pytest.raises(ValueError):
-            reconstruct({p: shares[p] for p in inside}, code)
-        extra = outside[int(rng.integers(len(outside)))]
-        assert reconstruct({p: shares[p] for p in inside + [extra]}, code) == secret
+            reconstruct({p: shares[p] for p in support if p != dropped}, code)
+
+
+def test_access_sets_minus_one_party_are_unqualified_m1():
+    for kind in ("lprime", "units"):
+        code = build_code(CodeSpec(m=1, set_kind=kind))
+        shares = massey_shares(code, 2, seed=11)
+        for group in access_structure(code).minimal_access_sets:
+            for dropped in group:
+                with pytest.raises(ValueError):
+                    reconstruct({p: shares[p] for p in group if p != dropped}, code)
+
+
+def test_access_sets_minus_one_party_are_unqualified_m2_sample():
+    rng = random.Random(2027)
+    for kind in ("lprime", "units"):
+        code = build_code(CodeSpec(m=2, set_kind=kind))
+        for group in rng.sample(access_structure(code).minimal_access_sets, 60):
+            shares = massey_shares(code, rng.randrange(3), seed=rng.randrange(1 << 30))
+            dropped = rng.choice(group)
+            with pytest.raises(ValueError):
+                reconstruct({p: shares[p] for p in group if p != dropped}, code)
 
 
 def test_round_trip_every_access_set_m2():
