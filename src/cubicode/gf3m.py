@@ -167,13 +167,17 @@ class GF3m:
                 break
         if primitive is None:
             raise RuntimeError("no primitive element found")  # unreachable
+        # x -> primitive * x is F_3-linear: tabulate it from the basis images
+        place = 3 ** np.arange(self.m)
+        images = [_digits(self._mul_raw(3**i, primitive), self.m) for i in range(self.m)]
+        times = ((np.arange(self.q)[:, None] // place % 3) @ images % 3 @ place).tolist()
         exp = [1] * n
         log = [-1] * self.q
         val = 1
         for i in range(n):
             exp[i] = val
             log[val] = i
-            val = self._mul_raw(val, primitive)
+            val = times[val]
         self.generator = primitive
         return exp, log
 

@@ -6,9 +6,10 @@ own scalar multiples.  The sufficient condition used as a screen is
 3 w_min > 2 w_max over nonzero weights; when it holds, every nonzero
 codeword is minimal, and the exhaustive check enforces that as an
 invariant.  Minimality is a property of the projective class {c, 2c},
-so the search runs over class representatives, whose supports are the
-rows of one boolean (classes, N) matrix; the screen reads its row
-weights and the access structure its rows.
+so the search runs over class representatives.  Supports depend only on
+which projective points of PG(k-1, 3) the columns of G are, so the
+census runs on one boolean (classes, points) matrix, never on the
+codeword table.
 
 The scheme is Massey's, built on the dual code C^perp with distinguished
 coordinate 0: the dealer draws a uniform x in C^perp with x_0 = secret
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg3
+from .chain_ring import require_scope
 from .trace_code import TernaryCode
 
 
@@ -72,35 +74,68 @@ def _class_representatives(k: int) -> np.ndarray:
     return msgs[msgs <= partners]
 
 
-def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, np.ndarray]]:
-    """Exhaustively classify projective classes as minimal or covered.
+_BLOCK = 128  # rows per block of the all-pairs covering test
 
-    Returns the census and a map from representative message index to the
-    class support, a boolean row of length N (a row of one (classes, N)
-    support matrix).  Class i covers class j != i iff supp_j lies inside
-    supp_i, tested on packed bits.
+
+def _census(code: TernaryCode):
+    """The census on the projective points of the columns of G.
+
+    (yG)_j = y . g_j is nonzero iff y . p_j is, where p_j is column j
+    scaled by its first nonzero entry (a trit is its own inverse; a zero
+    column is point 0, in no support).  With S[y, p] = (y . p != 0) over
+    the representatives y and the distinct points p, the supports are
+    S[:, point], and supp_j lies in supp_i iff it does on the points.
+    The screen reads the row weights of S times the point multiplicities.
+
+    Returns the report, the representatives, the mask of minimal classes,
+    S and the point index of each column.
     """
+    require_scope("codeword table", code.spec.m)
+    place = 3 ** np.arange(code.dimension)
+    G = code.generators.astype(np.int64)
+    lead = G[np.argmax(G != 0, axis=0), np.arange(code.length)]
+    points, column_point = np.unique(place @ (G * lead % 3), return_inverse=True)
     reps = _class_representatives(code.dimension)
-    rows = code.codewords()[reps] != 0
-    packed = np.packbits(rows, axis=1)
-    # row i covers itself, so it is non-minimal iff it covers some other row,
+    y = (reps[:, None] // place % 3).astype(np.int8)
+    p = (points // place[:, None] % 3).astype(np.int8)
+    # y . p one digit at a time, in int8: every partial sum is at most 4k
+    support = sum(y[:, i, None] * p[i] for i in range(code.dimension)) % 3 != 0
+    packed = np.packbits(support, axis=1)
+    # words[w, i] is the w-th uint64 word of row i
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
+    # row j lies inside row i iff words_j & ~words_i is 0 in every word; row i
+    # covers itself, so it is non-minimal iff it covers some other row,
     # including a distinct class with the same support
-    non_minimal = [
-        i
-        for i, row in zip(reps.tolist(), packed)
-        if np.count_nonzero(~(packed & ~row).any(axis=1)) > 1
-    ]
-    holds = ab_condition(rows.sum(axis=1).tolist())
-    if holds and non_minimal:
+    covered = np.empty(len(reps), dtype=np.int64)
+    for start in range(0, len(reps), _BLOCK):
+        outside = ~words[:, start : start + _BLOCK, None]
+        spill = words[0] & outside[0]
+        for word, out in zip(words[1:], outside[1:]):
+            spill |= word & out
+        covered[start : start + _BLOCK] = np.count_nonzero(spill == 0, axis=1)
+    minimal = covered == 1
+    holds = ab_condition((support @ np.bincount(column_point)).tolist())
+    if holds and not minimal.all():
         raise RuntimeError(
             "weight-ratio screen guarantees all-minimal, but covering pairs exist"
         )
     report = MinimalityReport(
         ab_ratio_holds=holds,
-        minimal_count=len(reps) - len(non_minimal),
-        non_minimal_classes=tuple(non_minimal),
+        minimal_count=int(minimal.sum()),
+        non_minimal_classes=tuple(reps[~minimal].tolist()),
     )
-    return report, dict(zip(reps.tolist(), rows))
+    return report, reps, minimal, support, column_point
+
+
+def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, np.ndarray]]:
+    """Exhaustively classify projective classes as minimal or covered.
+
+    Returns the census and a map from representative message index to the
+    class support, a boolean row of length N.  Class i covers class j != i
+    iff supp_j lies inside supp_i.
+    """
+    report, reps, _, support, column_point = _census(code)
+    return report, dict(zip(reps.tolist(), support[:, column_point]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +152,15 @@ class AccessStructure:
 
 def access_structure(code: TernaryCode) -> AccessStructure:
     """Minimal access sets and dictator parties of the scheme on this code."""
-    report, support = minimal_codewords(code)
-    excluded = set(report.non_minimal_classes)
-    sets = {
-        tuple((np.flatnonzero(row[1:]) + 1).tolist())
-        for i, row in support.items()
-        if row[0] and i not in excluded
-    }
+    _, _, minimal, support, column_point = _census(code)
+    # distinct minimal classes have distinct supports (equal ones cover each other)
+    rows = support[minimal & support[:, column_point[0]]][:, column_point[1:]]
+    parties = np.arange(1, code.length)
+    sets = (tuple(parties[row].tolist()) for row in rows)
     ordered = tuple(sorted(sets, key=lambda s: (len(s), s)))
-    if ordered:
-        dictators_set = set(ordered[0])
-        for s in ordered[1:]:
-            dictators_set &= set(s)
-        dictators = tuple(sorted(dictators_set))
-    else:
-        dictators = ()
+    dictators = ()
+    if len(rows):
+        dictators = tuple(parties[np.logical_and.reduce(rows)].tolist())
     return AccessStructure(
         secret_position=0, minimal_access_sets=ordered, dictators=dictators
     )
@@ -188,6 +217,17 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     return dict(enumerate(x[1:].tolist(), start=1))
 
 
+def _exact_ints(values, dtype) -> np.ndarray | None:
+    """The values as a dtype array, or None unless each is an int that fits."""
+    # exact type: rejects bool, float, str and numpy scalars alike
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values))
+    except OverflowError:
+        return None
+
+
 def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
     """Recover the secret from the shares of a qualified party set T.
 
@@ -196,24 +236,19 @@ def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
     reduced rows with pivots restricted to S leaves rows spanning them.
     One with a nonzero coordinate 0, scaled to c_0 = 1, gives the secret
     -sum_t c_t x_t.  Raises ValueError when a position is not an int in
-    1 .. N-1, a share is not a trit, or T is not qualified (no left-over
-    row is nonzero at 0).
+    1 .. N-1, a share is not an int in 0 .. 2, or T is not qualified (no
+    left-over row is nonzero at 0).
     """
     if not shares:
         raise ValueError("no shares given")
-    # exact type: rejects bool, float, str and numpy positions alike
-    if set(map(type, shares)) != {int}:
-        raise ValueError("share positions must be ints")
-    try:
-        positions = np.fromiter(shares, dtype=np.int64, count=len(shares))
-    except OverflowError:
-        positions = None
+    positions = _exact_ints(shares.keys(), np.int64)
     if positions is None or positions.min() < 1 or positions.max() >= code.length:
-        raise ValueError("share positions must lie in 1 .. N-1")
-    if not set(shares.values()) <= {0, 1, 2}:
+        raise ValueError("share positions must be ints in 1 .. N-1")
+    values = _exact_ints(shares.values(), np.int8)
+    if values is None or values.min() < 0 or values.max() > 2:
         raise ValueError("share values must be trits")
     x = np.zeros(code.length, dtype=np.int8)
-    x[positions] = np.fromiter(shares.values(), dtype=np.int8, count=len(shares))
+    x[positions] = values
     party = np.zeros(code.length, dtype=bool)
     party[positions] = True
     party[0] = True
@@ -223,4 +258,4 @@ def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
         raise ValueError("the given party set cannot reconstruct the secret")
     if c[1] & 1:
         c = (c[1], c[0])
-    return -linalg3.dot(c, linalg3.pack(x)[0]) % 3
+    return -linalg3.dot(c, (linalg3.bits(x == 1), linalg3.bits(x == 2))) % 3

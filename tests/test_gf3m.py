@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubicode.gf3m import GF3m, get_field, smallest_irreducible
+from cubicode.gf3m import MAX_DEGREE, GF3m, get_field, smallest_irreducible
 
 # coefficient tuples (constant term first) of the first monic irreducibles:
 # x, x^2 + 1, x^3 + 2x + 1
@@ -134,3 +136,57 @@ def test_degree_guard():
         GF3m(0)
     with pytest.raises(ValueError):
         GF3m(9)
+
+
+def poly_mul_mod(F, x, y):
+    """x * y by schoolbook multiplication of digit polynomials, reduced by the modulus."""
+    a, b = F.coeffs(x), F.coeffs(y)
+    prod = [0] * (2 * F.m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % 3
+    for top in range(len(prod) - 1, F.m - 1, -1):
+        c = prod[top]
+        for j, mj in enumerate(F.modulus):
+            prod[top - F.m + j] = (prod[top - F.m + j] - c * mj) % 3
+    return F.from_coeffs(prod[: F.m])
+
+
+def poly_pow_mod(F, x, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = poly_mul_mod(F, out, x)
+        x = poly_mul_mod(F, x, x)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DEGREE + 1))
+def test_log_tables_equal_the_raw_multiplication_walk(m):
+    F = get_field(m)
+    # the generator is the first element of order q - 1
+    n = F.q - 1
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    assert F.generator == next(
+        g for g in range(2, F.q) if all(poly_pow_mod(F, g, n // p) != 1 for p in primes)
+    )
+    # exp and log walk the powers of the generator by raw multiplication
+    exp, log, val = [], [-1] * F.q, 1
+    for i in range(F.q - 1):
+        exp.append(val)
+        log[val] = i
+        val = F._mul_raw(val, F.generator)
+    assert val == 1
+    assert F._exp == exp and F._log == log
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_field_ops_equal_raw_polynomial_arithmetic(data):
+    F = get_field(data.draw(st.integers(1, MAX_DEGREE)))
+    x, y = (data.draw(st.integers(0, F.q - 1)) for _ in range(2))
+    assert F.mul(x, y) == poly_mul_mod(F, x, y)
+    assert F.coeffs(F.add(x, y)) == tuple((a + b) % 3 for a, b in zip(F.coeffs(x), F.coeffs(y)))
+    if x:
+        assert poly_mul_mod(F, x, F.inv(x)) == 1

@@ -1,7 +1,7 @@
 """Property tests of the F_3 linear algebra the structural checks and shares rest on.
 
 Random small generator matrices are compared with brute force over all
-3^k codewords, the bit-sliced elimination with a row-by-row reference
+3^k codewords (the row-space test, the rank and the minimality census), the bit-sliced elimination with a row-by-row reference
 elimination and with brute force over all 3^n solutions, and share
 reconstruction on random party sets with brute force over the codewords.
 Hypothesis runs derandomized with no deadline, so the examples and the
@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -147,6 +147,40 @@ def test_masked_elimination_leaves_the_words_vanishing_on_the_mask(data):
     left = linalg3.unpack(rest, G.shape[1])
     spanned = all_codewords(left) if len(rest) else {(0,) * G.shape[1]}
     assert spanned == {w for w in all_codewords(G) if not any(np.array(w)[mask])}
+
+
+@st.composite
+def point_matrices(draw):
+    """Full-rank k x n trit matrices with repeated, proportional and zero columns."""
+    k = draw(st.integers(1, 4))
+    base = draw(arrays(np.int8, (k, draw(st.integers(k, 6))), elements=st.integers(0, 2)))
+    assume(linalg3.rank(base) == k)
+    extra = draw(st.lists(st.tuples(st.integers(0, base.shape[1]), st.integers(1, 2)), max_size=6))
+    # an extra column is a multiple of a base column, or zero (index past the end)
+    cols = [base[:, i] * s % 3 if i < base.shape[1] else np.zeros(k, np.int8) for i, s in extra]
+    G = np.column_stack([base, *cols]).astype(np.int8)
+    return G[:, draw(st.permutations(range(G.shape[1])))]
+
+
+@PROPERTY
+@given(point_matrices())
+def test_point_census_equals_brute_force_covering(G):
+    k, n = G.shape
+    msgs = np.array(list(itertools.product(range(3), repeat=k)), dtype=np.int64)[:, ::-1]
+    words = (msgs @ G.astype(np.int64)) % 3  # row i is the word of message index i
+    reps = [i for i in range(1, 3**k) if i <= int((2 * msgs[i]) % 3 @ 3 ** np.arange(k))]
+    supports = {i: frozenset(np.flatnonzero(words[i]).tolist()) for i in reps}
+    non_minimal = tuple(
+        i for i in reps if any(j != i and supports[j] <= supports[i] for j in reps)
+    )
+    weights = [len(supports[i]) for i in reps]
+    spec = trace_code.CodeSpec(m=1, set_kind="lprime")
+    report, support = sss.minimal_codewords(trace_code.TernaryCode(spec, G))
+    assert list(support) == reps
+    assert all(np.array_equal(support[i], words[i] != 0) for i in reps)
+    assert report.non_minimal_classes == non_minimal
+    assert report.minimal_count == len(reps) - len(non_minimal)
+    assert report.ab_ratio_holds == (3 * min(weights) > 2 * max(weights))
 
 
 @functools.cache

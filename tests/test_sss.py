@@ -1,17 +1,61 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from cubicode import linalg3
+from cubicode.chain_ring import KINDS
 from cubicode.sss import (
+    AccessStructure,
+    MinimalityReport,
+    _class_representatives,
     ab_condition,
     access_structure,
     massey_shares,
     minimal_codewords,
     reconstruct,
 )
-from cubicode.trace_code import CodeSpec, build_code
+from cubicode.trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code
 from cubicode.weight_dist import formula_distribution
+
+SMALL_SPECS = [
+    CodeSpec(m=m, set_kind=kind, layout=layout)
+    for m, kind, layout in itertools.product((1, 2), KINDS, LAYOUTS)
+]
+
+
+def table_census(code):
+    """The census on rows of the codeword table, one packed-row pass per class."""
+    reps = _class_representatives(code.dimension)
+    rows = code.codewords()[reps] != 0
+    packed = np.packbits(rows, axis=1)
+    non_minimal = [
+        i
+        for i, row in zip(reps.tolist(), packed)
+        if np.count_nonzero(~(packed & ~row).any(axis=1)) > 1
+    ]
+    report = MinimalityReport(
+        ab_ratio_holds=ab_condition(rows.sum(axis=1).tolist()),
+        minimal_count=len(reps) - len(non_minimal),
+        non_minimal_classes=tuple(non_minimal),
+    )
+    return report, dict(zip(reps.tolist(), rows))
+
+
+def table_access_structure(code):
+    report, support = table_census(code)
+    excluded = set(report.non_minimal_classes)
+    sets = {
+        tuple((np.flatnonzero(row[1:]) + 1).tolist())
+        for i, row in support.items()
+        if row[0] and i not in excluded
+    }
+    ordered = tuple(sorted(sets, key=lambda s: (len(s), s)))
+    dictators = set(ordered[0]).intersection(*ordered[1:]) if ordered else set()
+    return AccessStructure(
+        secret_position=0, minimal_access_sets=ordered, dictators=tuple(sorted(dictators))
+    )
 
 
 def test_ab_condition():
@@ -48,6 +92,55 @@ def test_minimality_census_m2():
 def test_minimality_guard():
     with pytest.raises(ValueError):
         minimal_codewords(build_code(CodeSpec(m=3)))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_point_census_equals_codeword_table_census(spec):
+    code = build_code(spec)
+    report, support = minimal_codewords(code)
+    want_report, want_support = table_census(code)
+    assert report == want_report
+    assert list(support) == list(want_support)
+    for i, row in support.items():
+        assert row.dtype == np.bool_ and row.shape == (code.length,)
+        assert np.array_equal(row, want_support[i])
+    assert access_structure(code) == table_access_structure(code)
+
+
+@pytest.mark.parametrize("k,seed", [(5, 0), (6, 1), (6, 2)])
+def test_point_census_on_a_hyperplane_and_points_off_it(k, seed):
+    # every column of the hyperplane x_{k-1} = 0, the point e_{k-1} and a few
+    # random columns, in random coordinates: the classes vanishing on the
+    # hyperplane have tiny supports that other classes cover, and the
+    # distinct points fill several uint64 words
+    rng = np.random.default_rng(seed)
+    digits = np.arange(1, 3 ** (k - 1))[:, None] // 3 ** np.arange(k) % 3
+    cols = np.column_stack([digits.T, np.eye(k, dtype=np.int64)[:, -1], rng.integers(0, 3, (k, 5))])
+    basis = rng.integers(0, 3, (k, k))
+    while linalg3.rank(basis) < k:
+        basis = rng.integers(0, 3, (k, k))
+    G = (basis @ cols % 3)[:, rng.permutation(cols.shape[1])].astype(np.int8)
+    code = TernaryCode(CodeSpec(m=2), G)
+    report, support = minimal_codewords(code)
+    want_report, want_support = table_census(code)
+    assert report == want_report and report.non_minimal_classes
+    assert list(support) == list(want_support)
+    assert all(np.array_equal(support[i], want_support[i]) for i in support)
+    assert access_structure(code) == table_access_structure(code)
+
+
+def test_census_never_builds_the_codeword_table(monkeypatch):
+    want = {spec: (minimal_codewords(build_code(spec))[0], access_structure(build_code(spec)))
+            for spec in SMALL_SPECS}
+
+    def refuse(self):
+        raise AssertionError("the codeword table was built")
+
+    monkeypatch.setattr(TernaryCode, "codewords", refuse)
+    for spec in SMALL_SPECS:
+        code = build_code(spec)
+        assert minimal_codewords(code)[0] == want[spec][0]
+        assert access_structure(code) == want[spec][1]
 
 
 def test_access_structure_m1_lprime():
@@ -123,6 +216,14 @@ def test_reconstruct_rejects_unqualified_sets():
             reconstruct(bad, code)
         with pytest.raises(ValueError):
             reconstruct({**qualified, **bad}, code)
+    # share values must be exact ints in 0 .. 2: no float, bool or numpy trit
+    for value in (float(shares[1]), bool(shares[1] % 2), np.int8(shares[1]), 300, -1, 1 << 70):
+        with pytest.raises(ValueError):
+            reconstruct({1: value}, code)
+        with pytest.raises(ValueError):
+            reconstruct({**qualified, 1: value}, code)
+        with pytest.raises(ValueError):
+            reconstruct({**qualified, 3: value}, code)
     # the full party set always reconstructs
     assert reconstruct(shares, code) == 1
 
