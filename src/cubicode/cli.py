@@ -30,7 +30,7 @@ from .bounds import (
     verdict_json,
 )
 from .chain_ring import KIND_LPRIME, KIND_UNITS, KINDS, code_length
-from .sss import access_structure, massey_shares, minimal_codewords, reconstruct
+from .sss import access_structure, massey_shares, minimality_report, reconstruct
 from .trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code, export_generators
 from .weight_dist import (
     WeightDistribution,
@@ -350,7 +350,7 @@ def _packing_claim() -> dict:
 
 
 def _minimality_claim(kind: str, m: int) -> dict:
-    report, _ = minimal_codewords(build_code(CodeSpec(m=m, set_kind=kind)))
+    report = minimality_report(build_code(CodeSpec(m=m, set_kind=kind)))
     computed = {
         "ab_ratio_holds": report.ab_ratio_holds,
         "minimal": report.minimal_count,

@@ -127,6 +127,11 @@ def _census(code: TernaryCode):
     return report, reps, minimal, support, column_point
 
 
+def minimality_report(code: TernaryCode) -> MinimalityReport:
+    """The census alone, without the supports minimal_codewords gathers."""
+    return _census(code)[0]
+
+
 def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, np.ndarray]]:
     """Exhaustively classify projective classes as minimal or covered.
 
@@ -196,13 +201,12 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     if isinstance(secret, bool) or secret not in (0, 1, 2):
         raise ValueError("the secret must be a trit")
     red = code.reduction()
-    if not red.pivots or red.pivots[0] != 0:
+    if not len(red.pivots) or red.pivots[0] != 0:
         raise ValueError("column 0 of the generator matrix is zero; no secret slot")
     # R[0, P] is e_0, so the nonzero columns of row 0 after column 0 are free
-    slots = np.flatnonzero(red.rows[0, 1:])
-    if len(slots) == 0:
+    j = red.slot
+    if j is None:
         raise ValueError("e_0 is a codeword, so every dual codeword is 0 at position 0")
-    j = int(slots[0]) + 1
     # the draws at the pivot columns are discarded
     x = _trits(random.Random(seed), code.length).astype(np.int64)
     x[red.pivots] = 0
@@ -214,7 +218,7 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     x[red.pivots] = -(partial + red.rows[:, j] * x[j]) % 3
     if x[0] != secret or ((code.generators @ x) % 3).any():
         raise ArithmeticError("the sampled word is not a dual codeword carrying the secret")
-    return dict(enumerate(x[1:].tolist(), start=1))
+    return dict(zip(red.parties, x[1:].tolist()))
 
 
 def _exact_ints(values, dtype) -> np.ndarray | None:

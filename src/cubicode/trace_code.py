@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,9 @@ LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
 LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
 
-# (scalar, coordinate) pairs scored per evaluator call
+# (scalar, coordinate) pairs per lee_weights call in the enumerations: sets
+# the job granularity (scalar_ranges splits into whole calls); a call's
+# memory is set by its longest run of one hi, not by this
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -89,11 +92,11 @@ def gray_image(word, layout: str) -> np.ndarray:
     arr = np.asarray(word, dtype=np.int8)
     if arr.ndim < 2 or arr.shape[-1] != 3:
         raise ValueError("expected a sequence of coefficient triples")
-    lead = arr.shape[:-2]
+    shape = (*arr.shape[:-2], 3 * arr.shape[-2])
     if layout == LAYOUT_INTERLEAVED:
-        return arr.reshape(*lead, -1)
+        return arr.reshape(shape)
     if layout == LAYOUT_BLOCK:
-        return np.swapaxes(arr, -1, -2).reshape(*lead, -1).copy()
+        return np.swapaxes(arr, -1, -2).reshape(shape).copy()
     raise ValueError(f"unknown layout {layout!r}")
 
 
@@ -117,14 +120,15 @@ class EvalContext:
         ev(a) = W1[a1] + W2[a2] + W3[a3]  (mod 3),
 
     where W1[c], W2[c], W3[c] are the interleaved words of (c, 0, 0),
-    (0, c, 0), (0, 0, c), three (q, 3n) int8 tables read from the field's
-    trace-of-product table once per context.
+    (0, c, 0), (0, 0, c).  Each is F_3-linear in c, whose index holds its
+    base-3 coefficient digits, so a table is built from its m basis rows
+    W[3^i] by doubling, as TernaryCode.codewords builds the code.  The
+    tables w1, w2, w3 are bit-sliced, (q, 2, words) uint64 planes in
+    linalg3's bit order with zero padding, so sums are linalg3.add.
 
-    lee_weights scores scalars on bit planes: H = W1[a1] + W2[a2] is
-    split into one-hot planes (H == 0, H == 1, H == 2), each packed into
-    uint64 words, and the planes of -W3[a3] are kept per a3.  Position j
-    of ev(a) is zero iff H_j == -W3[a3]_j, so the Lee weight is 3n minus
-    the popcount of the OR of the three plane-wise ANDs.
+    lee_weights scores a run of scalars with one hi = (a1, a2) as
+    H = W1[a1] + W2[a2] plus the rows W3[a3]; the Lee weight is the
+    popcount of the OR of the two planes of the sum.
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
@@ -138,60 +142,82 @@ class EvalContext:
         self.x2 = arr[:, 1].copy()
         self.x3 = arr[:, 2].copy()
         self.n = len(arr)
-        # scalars per lee_weights call in the enumerations: bounds the
-        # (scalar, coordinate) pairs one call materializes
         self.step = max(1, _CHUNK_ELEMS // self.n)
-        tm = self.field.trace_mul_table
-        zero = np.zeros((self.q, self.n), dtype=tm.dtype)
-        self.w1 = _standard_words(tm[:, self.x1], tm[:, self.x2], tm[:, self.x3])
-        self.w2 = _standard_words(zero, tm[:, self.x1], tm[:, self.x2])
-        self.w3 = _standard_words(zero, zero, tm[:, self.x1])
-        self._w3_planes = _one_hot_planes((-self.w3) % 3)
+        # Tr(3^i x) at the coordinates, one row per basis element 3^i
+        tm = self.field.trace_mul_table[3 ** np.arange(m)]
+        t1, t2, t3 = tm[:, self.x1], tm[:, self.x2], tm[:, self.x3]
+        zero = np.zeros_like(t1)
+        self._tables = _linear_tables(np.array([(t1, t2, t3), (zero, t1, t2), (zero, zero, t1)]))
+        self.w1, self.w2, self.w3 = self._tables
 
     def scalar_count(self) -> int:
         return self.q**3
 
+    @functools.cached_property
+    def _words(self) -> tuple[np.ndarray, ...]:
+        """The three tables as int8 (q, 3n) words, unpacked once."""
+        flags = np.unpackbits(self._tables.view(np.uint8), axis=-1, count=3 * self.n, bitorder="little")
+        return tuple((flags[:, :, 0] + 2 * flags[:, :, 1]).view(np.int8))
+
     def trace_triples(self, scalars) -> np.ndarray:
         """(len(scalars), n, 3) standard-coordinate words Tr(a x)."""
         q = self.q
+        w1, w2, w3 = self._words
         s = np.asarray(scalars, dtype=np.int64)
-        words = (self.w1[s // (q * q)] + self.w2[(s // q) % q] + self.w3[s % q]) % 3
+        words = (w1[s // (q * q)] + w2[(s // q) % q] + w3[s % q]) % 3
         return words.reshape(len(s), self.n, 3)
 
     def lee_weights(self, scalars) -> np.ndarray:
         """Lee weight of ev(a) for each scalar index, as int64.
 
         Scalars may come in any order and repeat; each run of equal
-        hi = a1 * q + a2 shares one set of H planes.
+        hi = a1 * q + a2 shares one H, and a run of a3 = 0 .. q-1 reads
+        W3 in place.
         """
         q = self.q
         s = np.asarray(scalars, dtype=np.int64).reshape(-1)
         hi, a3 = s // q, s % q
-        starts = np.flatnonzero(np.diff(hi, prepend=-1)).tolist()
-        zeros = np.empty(len(s), dtype=np.int64)
-        for lo, end in zip(starts, starts[1:] + [len(s)]):
+        starts = np.flatnonzero(np.diff(hi, prepend=-1))
+        ends = np.append(starts[1:], len(s))
+        weights = np.empty(len(s), dtype=np.int64)
+        longest = int((ends - starts).max(initial=0))
+        rows = np.empty((longest, *self.w3.shape[1:]), dtype=np.uint64)
+        every = np.arange(q)
+        for lo, end in zip(starts.tolist(), ends.tolist()):
             a1, a2 = divmod(int(hi[lo]), q)
-            h_planes = _one_hot_planes((self.w1[a1 : a1 + 1] + self.w2[a2 : a2 + 1]) % 3)
-            zero = np.bitwise_or.reduce(h_planes & self._w3_planes[a3[lo:end]], axis=1)
-            zeros[lo:end] = np.bitwise_count(zero).sum(axis=-1)
-        return 3 * self.n - zeros
+            if end - lo == q and np.array_equal(a3[lo:end], every):
+                w3 = self.w3
+            else:
+                w3 = np.take(self.w3, a3[lo:end], axis=0, out=rows[: end - lo])
+            s1, s2 = linalg3.add(linalg3.add(self.w1[a1], self.w2[a2]), w3.swapaxes(0, 1))
+            weights[lo:end] = np.bitwise_count(s1 | s2).sum(axis=-1)
+        return weights
 
 
-def _standard_words(t1, t2, t3) -> np.ndarray:
-    """Interleaved standard-coordinate words (q, 3n) from nilpotent traces (q, n)."""
-    words = np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
-    return words.astype(np.int8).reshape(len(t1), -1)
+def _linear_tables(traces: np.ndarray) -> np.ndarray:
+    """Bit-sliced (tables, 3^m, 2, words) tables of F_3-linear words W[c].
 
-
-def _one_hot_planes(words: np.ndarray) -> np.ndarray:
-    """(rows, 3, ceil(L / 64)) uint64 bit planes of (rows, L) words over {0, 1, 2}.
-
-    Plane v holds the positions equal to v; the padding bits are zero.
+    traces[k] holds the nilpotent traces (t1, t2, t3), each (m, n), of
+    the basis rows W[3^i] of table k.  Rows 3^i .. 2 3^i - 1 are the rows
+    before them plus W[3^i], and rows 2 3^i .. 3^(i+1) - 1 those rows
+    minus W[3^i].
     """
-    rows, length = words.shape
-    bits = np.zeros((rows, 3, -(-length // 64) * 64), dtype=bool)
-    bits[:, :, :length] = words[:, None, :] == np.arange(3, dtype=np.int8)[:, None]
-    return np.packbits(bits, axis=-1).view(np.uint64)
+    t1, t2, t3 = traces.swapaxes(0, 1)
+    tables, m, n = t1.shape
+    basis = (np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3).reshape(tables, m, 3 * n)
+    words = -(-3 * n // 64)
+    flags = np.zeros((tables, m, 2, 64 * words), dtype=bool)
+    flags[:, :, 0, : 3 * n] = basis == 1
+    flags[:, :, 1, : 3 * n] = basis == 2
+    planes = np.packbits(flags, axis=-1, bitorder="little").view(np.uint64)
+    table = np.zeros((tables, 3**m, 2, words), dtype=np.uint64)
+    for i in range(m):
+        size = 3**i
+        b1, b2 = planes[:, i, None, 0], planes[:, i, None, 1]
+        done = np.moveaxis(table[:, :size], 2, 0)
+        np.moveaxis(table[:, size : 2 * size], 2, 0)[:] = linalg3.add(done, (b1, b2))
+        np.moveaxis(table[:, 2 * size : 3 * size], 2, 0)[:] = linalg3.add(done, (b2, b1))
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,18 +254,21 @@ def ring_basis(m: int) -> tuple[Triple, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """The reduced row echelon form of a generator matrix G.
 
     rows holds its rank nonzero rows R (int8), pivots their pivot columns
-    P (R[:, P] is the identity), and planes the rows R bit-sliced by
-    linalg3.pack.
+    P (an int64 array; R[:, P] is the identity), planes the rows R
+    bit-sliced by linalg3.pack, slot the first column j > 0 with
+    R[0, j] != 0 (None if there is none) and parties the positions
+    1 .. N-1.
     """
 
     rows: np.ndarray
-    pivots: list[int]
+    pivots: np.ndarray
     planes: list[linalg3.Planes]
+    slot: int | None
+    parties: tuple[int, ...]
 
 
 class TernaryCode:
@@ -280,7 +309,11 @@ class TernaryCode:
         if self._reduction is None:
             reduced, pivots = linalg3.row_reduce(self.generators)
             rows = reduced[: len(pivots)]
-            self._reduction = Reduction(rows, pivots, linalg3.pack(rows))
+            slots = (np.flatnonzero(rows[:1, 1:]) + 1).tolist()
+            self._reduction = Reduction(
+                rows, np.array(pivots, dtype=np.int64), linalg3.pack(rows),
+                slots[0] if slots else None, tuple(range(1, self.length)),
+            )
         return self._reduction
 
 

@@ -190,7 +190,8 @@ def scalar_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
     rotated and ev(-a) = -ev(a), so an orbit has one Lee weight.  There
     are 1 + (q - 1)/2 + (q^3 - q)/6 orbits: {0}, the pairs {+-(0, 0, c)}
     and sextuples.  Representatives with a1 != 0 come in runs of all q
-    values of a3, so EvalContext.lee_weights shares their H planes.
+    values of a3, so EvalContext.lee_weights adds one H = W1[a1] + W2[a2]
+    to the whole W3 table, read in place.
     """
     require_scope("enumeration", m)
     F = get_field(m)

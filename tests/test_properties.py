@@ -4,6 +4,9 @@ Random small generator matrices are compared with brute force over all
 3^k codewords (the row-space test, the rank and the minimality census), the bit-sliced elimination with a row-by-row reference
 elimination and with brute force over all 3^n solutions, and share
 reconstruction on random party sets with brute force over the codewords.
+The evaluator on random coordinate sets is compared with scalar ring
+arithmetic, and the nilpotent coordinates and Gray layouts with their
+inverses.
 Hypothesis runs derandomized with no deadline, so the examples and the
 outcome are the same on every run.
 """
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cubicode import linalg3, sss, trace_code
+from cubicode.chain_ring import get_ring
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -208,3 +212,65 @@ def test_reconstruct_on_random_party_sets_m1(data):
     else:
         with pytest.raises(ValueError):
             sss.reconstruct(picked, code)
+
+
+@PROPERTY
+@given(st.data())
+def test_eval_context_equals_ring_arithmetic_on_random_coordinates(data):
+    m = data.draw(st.integers(1, 2))
+    ring = get_ring(m)
+    q = ring.field.q
+    element = st.integers(0, q - 1)
+    # 1 .. 64 repeated and unordered nilpotent triples: 3n fills one to three
+    # uint64 words, with padding bits unless n = 64
+    coords = data.draw(st.lists(st.tuples(element, element, element), min_size=1, max_size=60))
+    coords += data.draw(st.lists(st.sampled_from(coords), max_size=4))
+    ctx = trace_code.EvalContext(m, coords)
+    # random scalars, a run of one hi with repeats (it may be longer than q)
+    # and possibly the full run a3 = 0 .. q-1
+    hi = data.draw(st.integers(0, q * q - 1))
+    scalars = data.draw(st.lists(st.integers(0, q**3 - 1), max_size=12))
+    scalars += [hi * q + a3 for a3 in data.draw(st.lists(element, max_size=q + 3))]
+    if data.draw(st.booleans()):
+        scalars += range(hi * q, hi * q + q)
+    scalars = np.array(data.draw(st.permutations(scalars)), dtype=np.int64)
+    words = ctx.trace_triples(scalars)
+    xs = [ring.from_nilpotent(c) for c in coords]
+    for row, index in zip(words.tolist(), scalars.tolist()):
+        a = trace_code.scalar_from_index(m, index)
+        assert [tuple(t) for t in row] == [ring.trace(ring.mul(a, x)) for x in xs]
+    images = trace_code.gray_image(words, "interleaved")
+    assert ctx.lee_weights(scalars).tolist() == (images != 0).sum(axis=1).tolist()
+
+
+@PROPERTY
+@given(st.data())
+def test_nilpotent_coordinates_round_trip(data):
+    m = data.draw(st.integers(1, 5))
+    ring = get_ring(m)
+    element = st.integers(0, ring.field.q - 1)
+    x = data.draw(st.tuples(element, element, element))
+    assert ring.from_nilpotent(ring.to_nilpotent(x)) == x
+    assert ring.to_nilpotent(ring.from_nilpotent(x)) == x
+    if m <= 3:
+        assert trace_code.scalar_from_index(m, trace_code.index_of_scalar(m, x)) == x
+
+
+@PROPERTY
+@given(st.data())
+def test_gray_layouts_are_permutations_through_gray_positions(data):
+    n = data.draw(st.integers(1, 20))
+    words = data.draw(arrays(np.int8, (data.draw(st.integers(1, 3)), n, 3), elements=st.integers(0, 2)))
+    images = {layout: trace_code.gray_image(words, layout) for layout in trace_code.LAYOUTS}
+    maps = {
+        layout: np.array([trace_code.gray_positions(i, layout, n) for i in range(n)])
+        for layout in trace_code.LAYOUTS
+    }
+    for layout, image in images.items():
+        # every position is hit once, and each triple sits at its positions
+        assert sorted(maps[layout].reshape(-1).tolist()) == list(range(3 * n))
+        assert np.array_equal(image[:, maps[layout]], words)
+    # interleaved position 3 i + s holds what block position maps["block"][i, s] holds
+    block_at = maps["block"].reshape(-1)
+    assert np.array_equal(images["interleaved"], images["block"][:, block_at])
+    assert np.array_equal(images["block"], images["interleaved"][:, np.argsort(block_at)])

@@ -10,10 +10,12 @@ from cubicode.sss import (
     AccessStructure,
     MinimalityReport,
     _class_representatives,
+    _trits,
     ab_condition,
     access_structure,
     massey_shares,
     minimal_codewords,
+    minimality_report,
     reconstruct,
 )
 from cubicode.trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code
@@ -129,6 +131,12 @@ def test_point_census_on_a_hyperplane_and_points_off_it(k, seed):
     assert access_structure(code) == table_access_structure(code)
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_minimality_report_is_the_census_report(spec):
+    code = build_code(spec)
+    assert minimality_report(code) == minimal_codewords(code)[0]
+
+
 def test_census_never_builds_the_codeword_table(monkeypatch):
     want = {spec: (minimal_codewords(build_code(spec))[0], access_structure(build_code(spec)))
             for spec in SMALL_SPECS}
@@ -182,6 +190,41 @@ def test_massey_shares_deterministic_and_complete():
     for secret in (True, False):
         with pytest.raises(ValueError):
             massey_shares(code, secret)
+
+
+def list_built_massey_shares(code, secret, seed):
+    """The dealing with its pivots, slot and parties rebuilt from lists on every call."""
+    reduced, pivots = linalg3.row_reduce(code.generators)
+    rows = reduced[: len(pivots)]
+    j = int(np.flatnonzero(rows[0, 1:])[0]) + 1
+    x = _trits(random.Random(seed), code.length).astype(np.int64)
+    x[pivots] = 0
+    x[j] = 0
+    partial = rows @ x
+    x[j] = (-int(rows[0, j]) * (secret + partial[0])) % 3
+    x[pivots] = -(partial + rows[:, j] * x[j]) % 3
+    return dict(enumerate(x[1:].tolist(), start=1))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_massey_shares_equal_the_list_built_dealing(spec):
+    code = build_code(spec)
+    for seed in (0, 1, 7, 2024, 2**40 + 3):
+        for secret in (0, 1, 2):
+            got = massey_shares(code, secret, seed=seed)
+            want = list_built_massey_shares(code, secret, seed)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is int for v in got.values())
+
+
+def test_massey_shares_refuse_codes_without_a_secret_slot():
+    spec = CodeSpec(m=1)
+    # column 0 is zero
+    with pytest.raises(ValueError, match="no secret slot"):
+        massey_shares(TernaryCode(spec, np.array([[0, 1, 2], [0, 0, 1]], dtype=np.int8)), 1)
+    # e_0 = (1, 0, 0) is a codeword, so row 0 of the reduced form is e_0
+    with pytest.raises(ValueError, match="e_0 is a codeword"):
+        massey_shares(TernaryCode(spec, np.array([[1, 1, 2], [2, 1, 2]], dtype=np.int8)), 1)
 
 
 def test_round_trip_every_access_set():

@@ -50,6 +50,9 @@ def test_gray_image_layouts():
     ]
     with pytest.raises(ValueError):
         gray_image([1, 2, 0], "interleaved")
+    # an empty stack of words maps to an empty stack of images
+    for layout in ("interleaved", "block"):
+        assert gray_image(np.zeros((0, 2, 3), dtype=np.int8), layout).shape == (0, 6)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
@@ -131,6 +134,32 @@ def test_lee_weights_accept_repeated_unordered_scalars():
         images = gray_image(ctx.trace_triples(chunk), "interleaved")
         assert expected == (images != 0).sum(axis=1).tolist()
     assert get_eval_context(1, "lprime").lee_weights(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def standard_words(t1, t2, t3):
+    """Interleaved standard-coordinate words (rows, 3n) from nilpotent traces (rows, n)."""
+    words = np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
+    return words.astype(np.int8).reshape(len(t1), -1)
+
+
+def unpack_planes(table, length):
+    """The int8 words of a bit-sliced (rows, 2, words) table; checks padding and overlap."""
+    flags = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little").astype(np.int8)
+    assert not flags[..., length:].any()
+    assert not (flags[:, 0] & flags[:, 1]).any()
+    return flags[:, 0, :length] + 2 * flags[:, 1, :length]
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_linear_tables_equal_trace_mul_table_words_m3(kind):
+    ctx = get_eval_context(3, kind)
+    tm = ctx.field.trace_mul_table
+    t1, t2, t3 = tm[:, ctx.x1], tm[:, ctx.x2], tm[:, ctx.x3]
+    zero = np.zeros_like(t1)
+    wanted = (standard_words(t1, t2, t3), standard_words(zero, t1, t2), standard_words(zero, zero, t1))
+    for table, want in zip((ctx.w1, ctx.w2, ctx.w3), wanted):
+        assert table.dtype == np.uint64 and table.shape == (27, 2, -(-3 * ctx.n // 64))
+        assert np.array_equal(unpack_planes(table, 3 * ctx.n), want)
 
 
 def test_scalar_index_roundtrip():
