@@ -110,8 +110,11 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +450,16 @@ def cmd_verify(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --threads: a pool of 0 or fewer workers is a usage error."""
+    """argparse type of --threads: 0 or less is a usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+THREADS_HELP = (
+    "accepted for compatibility; must be at least 1; changes neither the work nor the result"
+)
 
 
 def _add_code_args(p: argparse.ArgumentParser, layout: bool = True) -> None:
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "enumerate", "formula", "charsum"),
         default="auto",
     )
-    p.add_argument("--threads", type=positive_int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--extrapolate", action="store_true", help="emit unproven closed forms")
     p.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_weights)
@@ -505,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "enumerate", "formula", "charsum"),
         default="auto",
     )
-    p.add_argument("--threads", type=positive_int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--extrapolate", action="store_true")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify-paper", help="replay documented reference results")
     p.add_argument("--include-slow", action="store_true", help="also enumerate at m=3")
-    p.add_argument("--threads", type=positive_int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -52,8 +52,8 @@ LAYOUT_BLOCK = "block"
 LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
 
 # (scalar, coordinate) pairs per lee_weights call in the enumerations: sets
-# the job granularity (scalar_ranges splits into whole calls); a call's
-# memory is set by its longest run of one hi, not by this
+# only how many scalars one call scores; a call's memory is set by its
+# longest run of one hi, not by this
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -127,8 +127,10 @@ class EvalContext:
     linalg3's bit order with zero padding, so sums are linalg3.add.
 
     lee_weights scores a run of scalars with one hi = (a1, a2) as
-    H = W1[a1] + W2[a2] plus the rows W3[a3]; the Lee weight is the
-    popcount of the OR of the two planes of the sum.
+    H = W1[a1] + W2[a2] plus the rows W3[a3].  A trit of the sum is
+    nonzero exactly where H differs from -W3[a3], whose planes are those
+    of W3[a3] swapped, so the Lee weight is the popcount of
+    (h1 ^ b2) | (h2 ^ b1) for W3[a3] = (b1, b2).
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
@@ -189,8 +191,8 @@ class EvalContext:
                 w3 = self.w3
             else:
                 w3 = np.take(self.w3, a3[lo:end], axis=0, out=rows[: end - lo])
-            s1, s2 = linalg3.add(linalg3.add(self.w1[a1], self.w2[a2]), w3.swapaxes(0, 1))
-            weights[lo:end] = np.bitwise_count(s1 | s2).sum(axis=-1)
+            h1, h2 = linalg3.add(self.w1[a1], self.w2[a2])
+            weights[lo:end] = np.bitwise_count((h1 ^ w3[:, 1]) | (h2 ^ w3[:, 0])).sum(axis=-1)
         return weights
 
 

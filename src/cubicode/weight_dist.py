@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,61 +210,26 @@ def scalar_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, sizes
 
 
-def _weight_histogram(args) -> Counter:
-    """Lee weight -> scalar count over orbit representatives lo .. hi - 1."""
-    m, kind, lo, hi = args
-    ctx = get_eval_context(m, kind)
-    reps, sizes = scalar_orbits(m)
-    counts: Counter = Counter()
-    for start in range(lo, hi, ctx.step):
-        end = min(hi, start + ctx.step)
-        for w, size in zip(ctx.lee_weights(reps[start:end]).tolist(), sizes[start:end].tolist()):
-            counts[w] += size
-    return counts
-
-
-def pool_size(threads: int, jobs: int) -> int:
-    """Worker processes for jobs: never more than asked, than jobs, or than CPUs."""
-    return max(1, min(threads, jobs, os.cpu_count() or 1))
-
-
-def scalar_ranges(total: int, step: int, threads: int) -> list[tuple[int, int]]:
-    """Split positions 0 .. total - 1 into at most threads ranges of whole chunks.
-
-    Chunks are step-sized blocks of the orbit representatives, the
-    scalars one EvalContext.lee_weights call scores, so a range never
-    splits a chunk and a job of one chunk is one range.
-    """
-    chunks = -(-total // step)
-    parts = min(threads, chunks)
-    edges = [min(total, step * (chunks * i // parts)) for i in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
-
-
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
     """Brute force: the Lee weight of ev(a) for one scalar a per {+-u^i}-orbit.
 
     Each weight counts with its orbit's size, so the histogram covers
-    all 3^{3m} scalars (scalar_orbits).  Parallelizes over contiguous
-    ranges of whole chunks of the representatives, one per thread, on a
-    pool of pool_size workers; a single range runs in process.
-    Per-range histograms are merged by addition, so the result is
-    independent of threads.
+    all 3^{3m} scalars (scalar_orbits).  The representatives are scored
+    in process, one EvalContext.lee_weights call per step of them.
+    threads must be at least 1 and changes neither the work nor the
+    result: at m <= 3 the kernel's numpy calls are too short for worker
+    processes or threads to pay for themselves.
     """
     require_scope("enumeration", spec.m)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     ctx = get_eval_context(spec.m, spec.set_kind)
-    total = len(scalar_orbits(spec.m)[0])
-    jobs = [(spec.m, spec.set_kind, lo, hi) for lo, hi in scalar_ranges(total, ctx.step, threads)]
-    workers = pool_size(threads, len(jobs))
-    if workers == 1:
-        counts = _weight_histogram((spec.m, spec.set_kind, 0, total))
-    else:
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_weight_histogram, jobs):
-                counts.update(part)
+    reps, sizes = scalar_orbits(spec.m)
+    counts: Counter = Counter()
+    for lo in range(0, len(reps), ctx.step):
+        chunk = slice(lo, lo + ctx.step)
+        for w, size in zip(ctx.lee_weights(reps[chunk]).tolist(), sizes[chunk].tolist()):
+            counts[w] += size
     return _finish(counts, spec, "enumerated")
 
 

@@ -258,6 +258,23 @@ def test_export_identical_across_threads(capsys):
     assert json.loads(outputs[0])["method"] == "enumerated"
 
 
+@pytest.mark.parametrize("target", ("missing/x", "."))
+def test_export_to_unwritable_path_exits_2(tmp_path, target):
+    # a missing parent directory, then a path that names a directory
+    out = tmp_path / target
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicode", "export", "--m", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_verify_paper_text(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0

@@ -18,9 +18,7 @@ from cubicode.weight_dist import (
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
-    pool_size,
     scalar_orbits,
-    scalar_ranges,
     scalar_weights,
     vector_char_sum,
     weight_from_char_sum,
@@ -49,7 +47,7 @@ def test_formula_matches_enumeration(kind, m):
 
 
 def test_threaded_enumeration_merges_to_same_histogram():
-    # one chunk: runs in process whatever the thread count
+    # one lee_weights call: threads changes neither the work nor the result
     spec = CodeSpec(m=2, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
@@ -58,7 +56,7 @@ def test_threaded_enumeration_merges_to_same_histogram():
 
 
 def test_threaded_m3_enumeration_merges_to_same_histogram():
-    # many chunks: the ranges are spread over a pool
+    # many lee_weights calls, merged in one histogram whatever the thread count
     spec = CodeSpec(m=3, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
@@ -150,30 +148,23 @@ def test_enumeration_guard():
             enumerate_distribution(CodeSpec(m=1), threads=threads)
 
 
-def test_pool_size_is_clamped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert pool_size(10**9, 27) == 2
-    assert pool_size(10**9, 1) == 1
-    assert pool_size(3, 3) == 2
-    assert pool_size(1, 27) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pool_size(4, 4) == 1
-
-
-def test_scalar_ranges_follow_chunks():
-    # pure partition: no pool is started
-    assert scalar_ranges(729, 12345, 4) == [(0, 729)]  # one chunk never forks
-    assert scalar_ranges(27, 1, 1) == [(0, 27)]
-    assert scalar_ranges(10, 3, 2) == [(0, 6), (6, 10)]  # 4 chunks of 3, 3, 3, 1
-    assert scalar_ranges(10, 3, 9) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    ranges = scalar_ranges(19683, 422, 2)
-    assert [lo % 422 for lo, _ in ranges] == [0, 0]
-    for threads in (1, 2, 3, 7, 100):
-        ranges = scalar_ranges(19683, 422, threads)
-        assert len(ranges) == min(threads, 47)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 19683
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert all(lo < hi for lo, hi in ranges)
+def test_enumeration_loads_no_pool_machinery():
+    # every enumeration runs in process: no worker pool module is imported
+    script = """
+import sys
+import cubicode
+from cubicode.trace_code import CodeSpec
+from cubicode.weight_dist import enumerate_distribution
+enumerate_distribution(CodeSpec(3, "lprime"), threads=2)
+print(sorted(n for n in sys.modules if n.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_invariants_hold_under_optimize():
