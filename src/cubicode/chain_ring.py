@@ -1,4 +1,4 @@
-"""The chain ring R_m = F_{3^m}[u]/(u^3 - 1): Gray map, Lee weight, defining sets.
+"""The chain ring R_m = F_{3^m}[u]/(u^3 - 1) and its defining sets.
 
 Over F_3 we have u^3 - 1 = (u - 1)^3, so R_m is a local ring with maximal
 ideal <u - 1> and ideal chain 0 < <(u-1)^2> < <u-1> < R_m.  Elements are
@@ -36,8 +36,9 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive,
 # materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    "defining set": 3,  # materialized as an (|L|, 3) array; bounds G and the dual certificate
-    "exhaustive check": 2,  # injectivity, group action (every v in L), quasi-cyclic shift
+    # materialized as an (|L|, 3) array; bounds G, the dual certificate and the
+    # structural checks (injectivity, group action, quasi-cyclic shift)
+    "defining set": 3,
     "enumeration": 3,
     "character sum": 2,
     "Gauss periods": 8,
@@ -101,10 +102,6 @@ class ChainRing:
             F.add(F.add(F.mul(a1, c2), F.mul(b1, b2)), F.mul(c1, a2)),
         )
 
-    def scalar_mul(self, s: int, x: Triple) -> Triple:
-        F = self.field
-        return (F.mul(s, x[0]), F.mul(s, x[1]), F.mul(s, x[2]))
-
     def frobenius(self, x: Triple) -> Triple:
         F = self.field
         return (F.frobenius(x[0]), F.frobenius(x[1]), F.frobenius(x[2]))
@@ -136,24 +133,6 @@ class ChainRing:
         F = self.field
         return (F.add(F.sub(x1, x2), x3), F.add(x2, x3), x3)
 
-    # -- Gray map and Lee weight (base ring only) ---------------------------------
-
-    def gray(self, x: Triple) -> Triple:
-        """Gray image of a + u b + u^2 c, the ternary triple (a, b, c).
-
-        In the coefficient representation this is the identity on triples;
-        it is only defined on the base ring (m = 1).
-        """
-        if self.m != 1:
-            raise ValueError("the Gray map is defined on the base ring (m = 1)")
-        return tuple(x)
-
-    def lee_weight(self, x: Triple) -> int:
-        """Hamming weight of the Gray image; base ring only."""
-        if self.m != 1:
-            raise ValueError("Lee weight is defined on the base ring (m = 1)")
-        return sum(1 for v in x if v)
-
 
 @functools.lru_cache(maxsize=None)
 def get_ring(m: int) -> ChainRing:
@@ -170,8 +149,7 @@ class DefiningSet:
 
     nilpotent is a read-only (|L|, 3) int64 array of the (x1, x2, x3)
     coordinates, in the canonical order described in the module
-    docstring; elements, the matching standard-coordinate triples, is
-    built on first use.
+    docstring.
     """
 
     kind: str
@@ -181,10 +159,23 @@ class DefiningSet:
     def __len__(self) -> int:
         return len(self.nilpotent)
 
-    @functools.cached_property
-    def elements(self) -> tuple[Triple, ...]:
-        ring = get_ring(self.m)
-        return tuple(ring.from_nilpotent(t) for t in map(tuple, self.nilpotent.tolist()))
+
+def allowed_x1(field: GF3m, kind: str) -> tuple[int, ...]:
+    """The first nilpotent coordinates of L, ascending: nonzero squares (lprime) or F^*."""
+    return field.squares() if kind == KIND_LPRIME else tuple(range(1, field.q))
+
+
+def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
+    """2m + 1 nilpotent triples generating L = <gamma> x U, U = {(1, y, z)}.
+
+    gamma generates the allowed x1 (g^2 for lprime, g for units, g the
+    primitive element).  (1, y, z)(1, y', z') = (1, y + y', z + z' + y y'),
+    so (1, e_i, 0) and (1, 0, e_i) over the field basis e_i = 3^i generate U.
+    """
+    F = get_field(m)
+    gamma = F.pow(F.generator, (F.q - 1) // len(allowed_x1(F, kind)))
+    basis = [3**i for i in range(m)]
+    return ((gamma, 0, 0), *((1, e, 0) for e in basis), *((1, 0, e) for e in basis))
 
 
 def defining_set_size(m: int, kind: str) -> int:
@@ -206,8 +197,7 @@ def defining_set(m: int, kind: str) -> DefiningSet:
         raise ValueError(f"unknown defining set kind {kind!r}")
     require_scope("defining set", m)
     F = get_field(m)
-    x1_values = F.squares() if kind == KIND_LPRIME else tuple(range(1, F.q))
-    axes = np.meshgrid(np.array(x1_values), np.arange(F.q), np.arange(F.q), indexing="ij")
+    axes = np.meshgrid(np.array(allowed_x1(F, kind)), np.arange(F.q), np.arange(F.q), indexing="ij")
     nil = np.stack(axes, axis=-1).reshape(-1, 3).astype(np.int64)
     nil.flags.writeable = False
     if len(nil) != defining_set_size(m, kind):

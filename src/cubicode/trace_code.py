@@ -17,16 +17,18 @@ shift by n = |L| places, which is what check_quasicyclic certifies.
 Only this module knows the layouts; elsewhere set positions map to image
 positions through gray_positions.
 
-EvalContext is the one evaluator of ev(a): generators, enumeration and
-the structural checks all go through it.  evaluate, the per-coordinate
-ring-arithmetic form, is kept as the independent reference the tests
-compare EvalContext against.
+Scalars are nilpotent indices and coordinates nilpotent triples (see
+EvalContext).  EvalContext is the one evaluator of ev(a): generators,
+enumeration and the structural checks all go through it.  evaluate, the
+per-coordinate ring arithmetic on standard triples, is kept as the
+independent reference the tests compare EvalContext against.
 
 ev is F_3-linear, so every code here is the F_3 row space of its
 generator matrix G, and the structural checks decide on G alone:
 injectivity is "the 3m basis images have rank 3m", and a coordinate
 permutation maps the code into itself iff the permuted G lies in the row
-space of G.  Both are exact and exhaustive, with no sampling.
+space of G; for the group action it suffices to check the 2m + 1
+generators of L.  All checks are exact, with no sampling, for m <= 3.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from .chain_ring import (
     KINDS,
     Triple,
     DefiningSet,
+    allowed_x1,
     defining_set,
+    defining_set_generators,
     get_ring,
     require_scope,
 )
+from .gf3m import get_field
 
 LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
@@ -79,9 +84,10 @@ class CodeSpec:
 
 
 def evaluate(a: Triple, dset: DefiningSet) -> tuple[Triple, ...]:
-    """The codeword ev(a) = (Tr(a x))_{x in L} as base-ring triples."""
+    """The codeword ev(a) = (Tr(a x))_{x in L} as base-ring triples, a in standard coordinates."""
     ring = get_ring(dset.m)
-    return tuple(ring.trace(ring.mul(a, x)) for x in dset.elements)
+    xs = map(ring.from_nilpotent, map(tuple, dset.nilpotent.tolist()))
+    return tuple(ring.trace(ring.mul(a, x)) for x in xs)
 
 
 def gray_image(word, layout: str) -> np.ndarray:
@@ -134,8 +140,6 @@ class EvalContext:
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
-        from .gf3m import get_field
-
         self.m = m
         self.field = get_field(m)
         self.q = self.field.q
@@ -151,9 +155,6 @@ class EvalContext:
         zero = np.zeros_like(t1)
         self._tables = _linear_tables(np.array([(t1, t2, t3), (zero, t1, t2), (zero, zero, t1)]))
         self.w1, self.w2, self.w3 = self._tables
-
-    def scalar_count(self) -> int:
-        return self.q**3
 
     @functools.cached_property
     def _words(self) -> tuple[np.ndarray, ...]:
@@ -227,32 +228,20 @@ def get_eval_context(m: int, kind: str) -> EvalContext:
     return EvalContext(m, defining_set(m, kind).nilpotent)
 
 
-def scalar_from_index(m: int, index: int) -> Triple:
-    """Standard coordinates of the scalar with the given nilpotent index."""
-    ring = get_ring(m)
-    q = ring.field.q
-    if not 0 <= index < q**3:
-        raise ValueError(f"scalar index {index} out of range")
-    return ring.from_nilpotent((index // (q * q), (index // q) % q, index % q))
-
-
-def index_of_scalar(m: int, a: Triple) -> int:
-    ring = get_ring(m)
-    q = ring.field.q
-    x1, x2, x3 = ring.to_nilpotent(a)
-    return (x1 * q + x2) * q + x3
-
-
 # ---------------------------------------------------------------------------
 # code construction
 
 
-def ring_basis(m: int) -> tuple[Triple, ...]:
-    """The fixed F_3-basis e_i, u e_i, u^2 e_i of R_m, grouped per i."""
+def ring_basis(m: int) -> tuple[int, ...]:
+    """Nilpotent indices of the F_3-basis e_i, u e_i, u^2 e_i of R_m, grouped per i.
+
+    With e = 3^i these are (e, 0, 0), (e, e, 0) and (e, 2e, e), as u^2 = 1 + 2(u-1) + (u-1)^2.
+    """
+    q = 3**m
     out = []
     for i in range(m):
         e = 3**i
-        out += [(e, 0, 0), (0, e, 0), (0, 0, e)]
+        out += [e * q * q, (e * q + e) * q, (e * q + 2 * e) * q + e]
     return tuple(out)
 
 
@@ -321,17 +310,12 @@ class TernaryCode:
 
 def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:
     """Gray images of ev(g) for the ring basis g, one row per basis element."""
-    basis = [index_of_scalar(ctx.m, g) for g in ring_basis(ctx.m)]
-    return gray_image(ctx.trace_triples(basis), layout)
+    return gray_image(ctx.trace_triples(ring_basis(ctx.m)), layout)
 
 
 def build_code(spec: CodeSpec) -> TernaryCode:
     ctx = get_eval_context(spec.m, spec.set_kind)
     return TernaryCode(spec, _generator_matrix(ctx, spec.layout))
-
-
-def generator_rank(code: TernaryCode) -> int:
-    return linalg3.rank(code.generators)
 
 
 def export_generators(code: TernaryCode) -> str:
@@ -348,39 +332,33 @@ def export_generators(code: TernaryCode) -> str:
 # structural checks
 
 
-def check_injectivity(spec: CodeSpec, elements=None) -> bool:
+def check_injectivity(spec: CodeSpec, nilpotent=None) -> bool:
     """Decide whether a -> ev(a) separates all 3^{3m} scalars.
 
     ev is F_3-linear, so it is injective iff the images of the 3m basis
-    scalars have rank 3m.  An explicit element list can replace the
-    spec's defining set to probe degenerate coordinate sets.
+    scalars have rank 3m.  Explicit nilpotent coordinate triples can
+    replace the spec's defining set to probe degenerate coordinate sets.
     """
-    require_scope("exhaustive check", spec.m)
-    if elements is None:
-        ctx = get_eval_context(spec.m, spec.set_kind)
-    else:
-        ring = get_ring(spec.m)
-        ctx = EvalContext(spec.m, tuple(ring.to_nilpotent(x) for x in elements))
+    require_scope("defining set", spec.m)
+    ctx = get_eval_context(spec.m, spec.set_kind) if nilpotent is None else EvalContext(spec.m, nilpotent)
     return linalg3.rank(_generator_matrix(ctx, LAYOUT_INTERLEAVED)) == 3 * spec.m
 
 
 def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     """Index permutation of the defining set induced by x -> v x.
 
-    perm[i] is the position of v * x_i; requires v to be in the set's
-    multiplicative stabilizer (any set element qualifies).
+    perm[i] is the position of v * x_i, v in nilpotent coordinates; v must
+    lie in the set's multiplicative stabilizer (any set element qualifies).
     """
-    ring = get_ring(spec.m)
-    F = ring.field
+    F = get_field(spec.m)
     q = F.q
     ctx = get_eval_context(spec.m, spec.set_kind)
-    x1_values = F.squares() if spec.set_kind == "lprime" else tuple(range(1, q))
+    x1_values = list(allowed_x1(F, spec.set_kind))
     x1_rank = np.full(q, -1, dtype=np.int64)
-    for r, val in enumerate(x1_values):
-        x1_rank[val] = r
+    x1_rank[x1_values] = np.arange(len(x1_values))
     MUL = F.mul_table
     ADD = F.add_table
-    v1, v2, v3 = ring.to_nilpotent(v)
+    v1, v2, v3 = v
     p1 = MUL[v1, ctx.x1]
     p2 = ADD[MUL[v1, ctx.x2], MUL[v2, ctx.x1]]
     p3 = ADD[ADD[MUL[v1, ctx.x3], MUL[v2, ctx.x2]], MUL[v3, ctx.x1]]
@@ -390,18 +368,18 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     return (r1 * q + p2.astype(np.int64)) * q + p3.astype(np.int64)
 
 
-def _stays_in_code(G: np.ndarray, perms) -> bool:
+def _stays_in_code(code: TernaryCode, perms) -> bool:
     """True iff G[:, perm] lies in the F_3 row space of G for every perm.
 
-    With R the nonzero rows of the reduced echelon form of G and P its
-    pivot columns, R[:, P] is the identity, so a row y lies in the row
-    space iff y == y[P] @ R (mod 3).  A permutation keeps the dimension,
-    so "maps into the code" is "maps onto the code".
+    With R the rows of the code's cached reduction and P their pivot
+    columns, R[:, P] is the identity, so a row y lies in the row space
+    iff y == y[P] @ R (mod 3).  A permutation keeps the dimension, so
+    "maps into the code" is "maps onto the code".
     """
-    reduced, pivots = linalg3.row_reduce(G)
-    R = reduced[: len(pivots)].astype(np.int64)
+    rows, pivots = code.reduction()[:2]
+    R = rows.astype(np.int64)
     for perm in perms:
-        Y = G[:, perm].astype(np.int64)
+        Y = code.generators[:, perm].astype(np.int64)
         if ((Y - Y[:, pivots] @ R) % 3).any():
             return False
     return True
@@ -410,25 +388,23 @@ def _stays_in_code(G: np.ndarray, perms) -> bool:
 def check_group_action(spec: CodeSpec) -> bool:
     """True iff for every v in L the permutation x -> v x maps the code into itself.
 
-    Decided on the interleaved generator matrix; the spec's layout plays
-    no part.
+    Decided on the 2m + 1 generators of L (defining_set_generators) and
+    the interleaved generator matrix; the spec's layout plays no part.
     """
-    require_scope("exhaustive check", spec.m)
-    ctx = get_eval_context(spec.m, spec.set_kind)
+    code = build_code(CodeSpec(spec.m, spec.set_kind))
     slots = np.arange(3)
     perms = (
         (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
-        for v in defining_set(spec.m, spec.set_kind).elements
+        for v in defining_set_generators(spec.m, spec.set_kind)
     )
-    return _stays_in_code(_generator_matrix(ctx, LAYOUT_INTERLEAVED), perms)
+    return _stays_in_code(code, perms)
 
 
 def check_quasicyclic(spec: CodeSpec) -> bool:
     """True iff the block-layout image is invariant under a cyclic shift by |L|."""
     if spec.layout != LAYOUT_BLOCK:
         raise ValueError("the shift certification is defined for the block layout")
-    require_scope("exhaustive check", spec.m)
-    G = build_code(spec).generators
-    N = G.shape[1]
+    code = build_code(spec)
+    N = code.length
     shift = (np.arange(N) - N // 3) % N  # y[shift] == np.roll(y, n)
-    return _stays_in_code(G, [shift])
+    return _stays_in_code(code, [shift])

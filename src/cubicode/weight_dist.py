@@ -16,7 +16,8 @@ explicitly extrapolated.  The enumeration path scores one scalar per
 orbit of the group {+-1, +-u, +-u^2} against the whole defining set and
 counts its Lee weight with the orbit's size (ev(u a) rotates every
 triple of ev(a), ev(-a) = -ev(a)), and the character-sum path recovers
-each weight from sums of cube roots of unity over the Gray image via
+the weights of all 3^{3m} scalars in one bulk pass from sums of cube
+roots of unity over the Gray images via
 
     w = (2N - theta(a) - theta(2a)) / 3,
 
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, Triple, code_length, get_ring, require_scope
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
 from .gf3m import get_field
-from .trace_code import CodeSpec, get_eval_context, index_of_scalar
+from .trace_code import CodeSpec, get_eval_context
 
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
 
@@ -106,34 +107,36 @@ def gauss_periods(m: int) -> GaussPeriods:
     )
 
 
-def vector_char_sum(y) -> complex:
-    """Theta(y) = sum_j omega^{y_j} for a ternary vector y."""
-    arr = np.asarray(y, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > 2):
-        raise ValueError("entries must lie in {0, 1, 2}")
-    return complex(_OMEGA[arr].sum())
-
-
-def codeword_char_sum(spec: CodeSpec, a: Triple) -> complex:
-    """theta(a): the character sum over the Gray image of ev(a)."""
+def codeword_char_sum(spec: CodeSpec, scalars) -> np.ndarray:
+    """theta(a) = sum_t #{j : y_j = t} omega^t over the Gray image y of ev(a), per scalar index a."""
     require_scope("character sum", spec.m)
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    word = ctx.trace_triples(np.array([index_of_scalar(spec.m, a)]))[0]
-    return complex(_OMEGA[word].sum())
+    words = get_eval_context(spec.m, spec.set_kind).trace_triples(scalars)
+    return np.stack([(words == t).sum(axis=(1, 2)) for t in range(3)], axis=-1) @ _OMEGA
 
 
-def weight_from_char_sum(spec: CodeSpec, a: Triple) -> int:
-    """Lee weight of ev(a) recovered from theta(a) + theta(2a)."""
-    ring = get_ring(spec.m)
-    n_len = code_length(spec.m, spec.set_kind)
-    total = codeword_char_sum(spec, a) + codeword_char_sum(spec, ring.add(a, a))
-    w = (2 * n_len - total.real) / 3
-    nearest = round(w)
-    if abs(w - nearest) >= 1e-6 or abs(total.imag) >= 1e-6:
+def charsum_weights(spec: CodeSpec) -> np.ndarray:
+    """Lee weight of ev(a) for every scalar index, from theta(a) + theta(2a) in one pass.
+
+    2a = -a negates each nilpotent coordinate.  A weight 1e-6 or more off
+    an integer, or an imaginary part that large, raises ArithmeticError.
+    """
+    require_scope("character sum", spec.m)
+    F = get_field(spec.m)
+    q = F.q
+    neg = np.diagonal(F.add_table).astype(np.int64)  # -x = x + x
+    every = np.arange(q**3)
+    doubled = (neg[every // (q * q)] * q + neg[every // q % q]) * q + neg[every % q]
+    theta = codeword_char_sum(spec, every)
+    total = theta + theta[doubled]
+    w = (2 * code_length(spec.m, spec.set_kind) - total.real) / 3
+    nearest = np.rint(w)
+    bad = ~((np.abs(w - nearest) < 1e-6) & (np.abs(total.imag) < 1e-6))  # NaN is bad too
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ArithmeticError(
-            f"character-sum weight {w!r} is not an integer within 1e-6 (imag {total.imag!r})"
+            f"character-sum weight {w[i]!r} is not an integer within 1e-6 (imag {total.imag[i]!r})"
         )
-    return int(nearest)
+    return nearest.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +155,6 @@ class WeightDistribution:
     @property
     def min_nonzero_weight(self) -> int:
         return min(w for w in self.entries if w > 0)
-
-    @property
-    def max_nonzero_weight(self) -> int:
-        return max(w for w in self.entries if w > 0)
 
 
 def _validate(entries: dict[int, int], m: int, kind: str) -> None:
@@ -233,25 +232,10 @@ def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistributi
     return _finish(counts, spec, "enumerated")
 
 
-def scalar_weights(spec: CodeSpec) -> np.ndarray:
-    """Lee weight of ev(a) for every scalar, in nilpotent index order."""
-    require_scope("enumeration", spec.m)
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    every = np.arange(ctx.scalar_count())
-    return np.concatenate(
-        [ctx.lee_weights(every[lo : lo + ctx.step]) for lo in range(0, len(every), ctx.step)]
-    )
-
-
 def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
-    """Distribution assembled scalar by scalar through weight_from_char_sum."""
-    require_scope("character sum", spec.m)
-    from .trace_code import scalar_from_index
-
-    counts: Counter = Counter()
-    for idx in range(3 ** (3 * spec.m)):
-        counts[weight_from_char_sum(spec, scalar_from_index(spec.m, idx))] += 1
-    return _finish(counts, spec, "charsum")
+    """Distribution of the weights charsum_weights recovers from character sums."""
+    values, counts = np.unique(charsum_weights(spec), return_counts=True)
+    return _finish(Counter(dict(zip(values.tolist(), counts.tolist()))), spec, "charsum")
 
 
 def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:

@@ -10,12 +10,12 @@ DESCRIPTIONS = {
     3: "m=2 lprime enumerated Lee distribution {0:1, 486:4, 648:720, 972:4} in < 10 s",
     4: "m=2 units enumerated Lee distribution {0:1, 1296:720, 1458:8} in < 30 s",
     5: "closed forms equal enumeration for m <= 3, both kinds",
-    6: "character-sum weights equal direct Lee weights for every scalar, m <= 2",
+    6: "character-sum weights, one bulk pass, equal direct Lee weights for every scalar, m <= 2",
     7: "Gauss periods match closed forms for m <= 6; exact sum -1",
     8: "char-sum/Hamming-weight identity on 1000 seeded vectors per length",
     9: "Griesmer optimality verdicts via direct ceiling sums",
     10: "dual distance 2 certificates for all four specs, m <= 2",
-    11: "injectivity, group action over every v in L, and block shift invariance, m <= 2, no sampling",
+    11: "injectivity, group action on the 2m+1 generators of L, and block shift invariance, m <= 3, no sampling",
     12: "first-moment identity on every produced distribution",
     13: "minimality census ground truth and weight-ratio boundary flag",
     14: "share round trips on every minimal access set; dictators nonempty",

@@ -1,0 +1,55 @@
+"""Reference helpers the tests compare the library against.
+
+The library names scalars only by their nilpotent index
+(a1 q + a2) q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2.  The standard
+triples (a, b, c) = a + u b + u^2 c, the per-scalar Lee weights and the
+character sum of a single vector live here, where the tests use them as
+independent routes.
+"""
+
+import numpy as np
+
+from cubicode.chain_ring import DefiningSet, get_ring
+from cubicode.trace_code import CodeSpec, get_eval_context
+
+OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
+
+
+def scalar_from_index(m: int, index: int) -> tuple[int, int, int]:
+    """Standard coordinates of the scalar with the given nilpotent index."""
+    ring = get_ring(m)
+    q = ring.field.q
+    if not 0 <= index < q**3:
+        raise ValueError(f"scalar index {index} out of range")
+    return ring.from_nilpotent((index // (q * q), (index // q) % q, index % q))
+
+
+def index_of_scalar(m: int, a) -> int:
+    """Nilpotent index of the scalar with standard coordinates a."""
+    ring = get_ring(m)
+    q = ring.field.q
+    x1, x2, x3 = ring.to_nilpotent(a)
+    return (x1 * q + x2) * q + x3
+
+
+def standard_elements(dset: DefiningSet) -> tuple[tuple[int, int, int], ...]:
+    """The defining set as standard triples, in its canonical order."""
+    ring = get_ring(dset.m)
+    return tuple(ring.from_nilpotent(t) for t in map(tuple, dset.nilpotent.tolist()))
+
+
+def scalar_weights(spec: CodeSpec) -> np.ndarray:
+    """Lee weight of ev(a) for every scalar, in nilpotent index order."""
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    every = np.arange(ctx.q**3)
+    return np.concatenate(
+        [ctx.lee_weights(every[lo : lo + ctx.step]) for lo in range(0, len(every), ctx.step)]
+    )
+
+
+def vector_char_sum(y) -> complex:
+    """Theta(y) = sum_j omega^{y_j} for a ternary vector y."""
+    arr = np.asarray(y, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() > 2):
+        raise ValueError("entries must lie in {0, 1, 2}")
+    return complex(OMEGA[arr].sum())

@@ -1,0 +1,44 @@
+"""Byte-for-byte pins of the deterministic CLI outputs.
+
+Each entry is a command line and the SHA-256 of its stdout.  The digests
+were recorded before the scalar arithmetic moved to nilpotent indices;
+a refactor that keeps them keeps every exported byte.
+"""
+
+import hashlib
+
+import pytest
+
+from cubicode.cli import main
+
+DIGESTS = {
+    "verify-paper --output json": "b640448e612bd324a6adaf1ef91676493e857a276c74f8ce77861009af47077a",
+    "verify-paper --output json --include-slow": "f4c99cf4d439d87f94b90d653f3de772e1379eed6af4c1fe8a8dd2ec8db84e9b",
+    "export --format generators --m 1 --set lprime --layout interleaved": "20f7bc7b2490bc989e9d1b5bc1e705f105bea8964ef5f5dc29447444209f2f8d",
+    "export --format generators --m 1 --set lprime --layout block": "cde222fc5bb3783ab23c99a1f4729962023cd13034cccca574eb89d1574a694f",
+    "export --format generators --m 1 --set units --layout interleaved": "63a75c0a93e7ccd3e21818be6f139d8e3e6cc2484607e76f35f38082311850cf",
+    "export --format generators --m 1 --set units --layout block": "4d94cff7b80d5ae056ec8cd63708b19cae0769ea6167914d8594e7ddebcc51de",
+    "export --format generators --m 2 --set lprime --layout interleaved": "aaa2fd5b402581a09093db3292897a88ca35d6a1f57751804c4d940936cb00f6",
+    "export --format generators --m 2 --set lprime --layout block": "925cef8c148bb2e9c9615f682a44faef8747203644d56c325febf28ab4b994cc",
+    "export --format generators --m 2 --set units --layout interleaved": "cc60f42950a2e3b0e8a7125c9b499192e2822cd49a894765801a394cdbcfa0c6",
+    "export --format generators --m 2 --set units --layout block": "f2e88b920685dca47efdf0603a49d74f36dde28049d7117b8cfcfc7593ab3dcd",
+    "export --format generators --m 3 --set lprime --layout interleaved": "60190aca918933321160ca34d8f7afde948fd5cedb0ce8d5e54d404b8292ac51",
+    "export --format generators --m 3 --set lprime --layout block": "2dab3a3a46231dafb599e508230fda26dd9003505fb99b616a0c8df5bc256855",
+    "export --format generators --m 3 --set units --layout interleaved": "68f8e96de9eb1d9640d71ea231e435cec5d4d3632e2f3d3d87659cc62e928087",
+    "export --format generators --m 3 --set units --layout block": "9d183143656f630ff42635de89fa2e16cb5c399537d8f21cdf383cfb3d6b95c4",
+    "weights --method charsum --output csv --m 1 --set lprime": "b9705ca4c07001c68a413660278e887e18c61e19e4e08958566f3359688b07b9",
+    "weights --method charsum --output csv --m 1 --set units": "d9776956952c0de1bdd3af4c57df94165cd845d0313764cf25612c4a1244ded9",
+    "weights --method charsum --output csv --m 2 --set lprime": "58fd22f3b5f279627e6f226c1040672a2990435fd8fa4c84c323f725e13e64eb",
+    "weights --method charsum --output csv --m 2 --set units": "d22aa014889c0313c5f1c37154ae3b93001dba9498dbfc83c4f92a72312e7f97",
+    "export --format access --m 1 --set lprime": "1d99b47726e94060bd5388bca24a1af546bfc30c9b3b7c3ebeb99c1ee5a3e927",
+    "export --format access --m 1 --set units": "f12b2be134cfa56dfff5c8f44e374947333309eb41b76623f90dd33f9363be05",
+    "export --format access --m 2 --set lprime": "6ec8123b97f7b67932996ed212a3e3c122cac032eb0d7cc7023c4b8b79781ae5",
+    "export --format access --m 2 --set units": "f991413c9e58f76652ee6fbe653022149d0cadd940137ed2c07f701730036adc",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_stdout_digest_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]

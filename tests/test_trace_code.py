@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cubicode import trace_code
+from cubicode import linalg3, trace_code
 from cubicode.bounds import dual_weight_search
-from cubicode.chain_ring import ChainRing, defining_set, get_ring
+from cubicode.chain_ring import ChainRing, defining_set, defining_set_generators, get_ring
 from cubicode.trace_code import (
     CodeSpec,
     EvalContext,
@@ -13,15 +13,14 @@ from cubicode.trace_code import (
     check_group_action,
     check_injectivity,
     check_quasicyclic,
+    coordinate_permutation,
     evaluate,
     export_generators,
-    generator_rank,
     get_eval_context,
     gray_image,
-    index_of_scalar,
     ring_basis,
-    scalar_from_index,
 )
+from ring_reference import index_of_scalar, scalar_from_index, standard_elements
 
 ALL_SPECS_M2 = [
     CodeSpec(m=m, set_kind=kind) for m in (1, 2) for kind in ("lprime", "units")
@@ -61,14 +60,16 @@ def test_code_shape_and_rank(spec):
     dset = defining_set(spec.m, spec.set_kind)
     assert code.dimension == 3 * spec.m
     assert code.length == 3 * len(dset)
-    assert generator_rank(code) == 3 * spec.m
+    assert linalg3.rank(code.generators) == 3 * spec.m
 
 
 @pytest.mark.parametrize("layout", ("interleaved", "block"))
 def test_generators_match_reference_evaluation(layout):
     for spec in ALL_SPECS_M2:
         dset = defining_set(spec.m, spec.set_kind)
-        reference = np.vstack([gray_image(evaluate(g, dset), layout) for g in ring_basis(spec.m)])
+        # the standard basis e_i, u e_i, u^2 e_i, built without ring_basis
+        basis = [g for i in range(spec.m) for g in ((3**i, 0, 0), (0, 3**i, 0), (0, 0, 3**i))]
+        reference = np.vstack([gray_image(evaluate(g, dset), layout) for g in basis])
         G = build_code(CodeSpec(spec.m, spec.set_kind, layout)).generators
         assert G.dtype == reference.dtype and np.array_equal(G, reference)
 
@@ -104,7 +105,7 @@ def test_eval_context_matches_reference_evaluation():
 @pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
 def test_lee_weights_equal_gray_weight_of_every_word(spec):
     ctx = get_eval_context(spec.m, spec.set_kind)
-    every = np.arange(ctx.scalar_count())
+    every = np.arange(ctx.q**3)
     images = gray_image(ctx.trace_triples(every), "interleaved")
     assert ctx.lee_weights(every).tolist() == (images != 0).sum(axis=1).tolist()
 
@@ -113,7 +114,7 @@ def test_lee_weights_equal_gray_weight_of_every_word(spec):
 def test_lee_weights_match_reference_evaluation_m3(kind):
     dset = defining_set(3, kind)
     ctx = get_eval_context(3, kind)
-    indices = random.Random(3).sample(range(ctx.scalar_count()), 2)
+    indices = random.Random(3).sample(range(ctx.q**3), 2)
     for idx in indices:
         reference = evaluate(scalar_from_index(3, idx), dset)
         lee = sum(3 - triple.count(0) for triple in reference)
@@ -126,9 +127,9 @@ def test_lee_weights_accept_repeated_unordered_scalars():
         q = ctx.q
         rng = random.Random(11)
         # same hi = a1 q + a2 in separate runs, repeats, descending indices
-        picked = [rng.randrange(ctx.scalar_count()) for _ in range(40)]
+        picked = [rng.randrange(q**3) for _ in range(40)]
         chunk = np.array(picked + picked[::-1] + [q * 5 + 1, q * 5, 0, q * 5 + 1, 0])
-        chunk %= ctx.scalar_count()
+        chunk %= q**3
         expected = [int(ctx.lee_weights(np.array([i]))[0]) for i in chunk.tolist()]
         assert ctx.lee_weights(chunk).tolist() == expected
         images = gray_image(ctx.trace_triples(chunk), "interleaved")
@@ -175,8 +176,13 @@ def test_scalar_index_roundtrip():
 def test_ring_basis_spans_per_power_groups():
     basis = ring_basis(2)
     assert len(basis) == 6
-    assert basis[0] == (1, 0, 0) and basis[1] == (0, 1, 0) and basis[2] == (0, 0, 1)
-    assert basis[3] == (3, 0, 0)
+    standard = [scalar_from_index(2, g) for g in basis]
+    assert standard[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert standard[3:] == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+    for m in (1, 3):
+        assert [scalar_from_index(m, g) for g in ring_basis(m)] == [
+            t for i in range(m) for t in ((3**i, 0, 0), (0, 3**i, 0), (0, 0, 3**i))
+        ]
 
 
 def test_codeword_message_encoding():
@@ -215,12 +221,13 @@ def test_injectivity(spec):
 
 
 def test_injectivity_negative_controls():
-    # at m=1 the trace is the identity, so one zero divisor already collides
-    assert not check_injectivity(CodeSpec(m=1), elements=[(1, 1, 1)])
+    # at m=1 the trace is the identity, so the zero divisor
+    # 1 + u + u^2 = (u-1)^2, nilpotent (0, 0, 1), already collides
+    assert not check_injectivity(CodeSpec(m=1), nilpotent=[(0, 0, 1)])
     # at m=2 a single coordinate cannot separate 3^6 scalars
-    assert not check_injectivity(CodeSpec(m=2), elements=[(1, 0, 0)])
+    assert not check_injectivity(CodeSpec(m=2), nilpotent=[(1, 0, 0)])
     with pytest.raises(ValueError):
-        check_injectivity(CodeSpec(m=3))
+        check_injectivity(CodeSpec(m=4))
 
 
 def test_group_action_exhaustive_m1():
@@ -232,6 +239,75 @@ def test_group_action_sampled_m2():
     assert check_group_action(CodeSpec(m=2, set_kind="lprime"))
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
+def test_generators_close_to_exactly_the_defining_set(spec):
+    ring = get_ring(spec.m)
+    gens = [ring.from_nilpotent(v) for v in defining_set_generators(spec.m, spec.set_kind)]
+    assert len(gens) == 2 * spec.m + 1
+    closure, frontier = {ring.one}, [ring.one]
+    while frontier:
+        frontier = {ring.mul(x, g) for x in frontier for g in gens} - closure
+        closure |= frontier
+    assert closure == set(standard_elements(defining_set(spec.m, spec.set_kind)))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
+def test_generator_check_equals_every_element_check(spec):
+    # the per-element reference: one permutation per v in L
+    code = build_code(spec)
+    slots = np.arange(3)
+    perms = (
+        (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
+        for v in map(tuple, defining_set(spec.m, spec.set_kind).nilpotent.tolist())
+    )
+    assert check_group_action(spec) == trace_code._stays_in_code(code, perms)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(2, "units"), CodeSpec(3, "lprime")], ids=str)
+def test_group_action_builds_one_permutation_per_generator(spec, monkeypatch):
+    seen = []
+
+    def counted(spec, v):
+        seen.append(v)
+        return coordinate_permutation(spec, v)
+
+    monkeypatch.setattr(trace_code, "coordinate_permutation", counted)
+    assert check_group_action(spec)
+    assert seen == list(defining_set_generators(spec.m, spec.set_kind))
+    assert len(seen) == 2 * spec.m + 1
+
+
+def test_group_action_rejects_a_generator_that_leaves_the_code(monkeypatch):
+    # swapping two set positions is no code automorphism
+    def swap_first_two(spec, v):
+        perm = np.arange(len(defining_set(spec.m, spec.set_kind)))
+        perm[[0, 1]] = perm[[1, 0]]
+        return perm
+
+    monkeypatch.setattr(trace_code, "coordinate_permutation", swap_first_two)
+    assert not check_group_action(CodeSpec(m=2, set_kind="units"))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
+def test_coordinate_permutation_matches_ring_multiplication(spec):
+    ring = get_ring(spec.m)
+    dset = defining_set(spec.m, spec.set_kind)
+    elements = standard_elements(dset)
+    position = {x: i for i, x in enumerate(elements)}
+    for v in defining_set_generators(spec.m, spec.set_kind) + (tuple(dset.nilpotent[-1].tolist()),):
+        sv = ring.from_nilpotent(v)
+        expected = [position[ring.mul(sv, x)] for x in elements]
+        assert coordinate_permutation(spec, v).tolist() == expected
+
+
+def test_coordinate_permutation_refuses_elements_outside_the_stabilizer():
+    F = get_ring(2).field
+    nonsquare = F.nonsquares()[0]
+    with pytest.raises(ValueError):
+        coordinate_permutation(CodeSpec(m=2, set_kind="lprime"), (nonsquare, 0, 0))
+    assert coordinate_permutation(CodeSpec(m=2, set_kind="units"), (nonsquare, 0, 0)).shape == (648,)
+
+
 def test_quasicyclic_shift():
     assert check_quasicyclic(CodeSpec(m=1, set_kind="lprime", layout="block"))
     assert check_quasicyclic(CodeSpec(m=2, set_kind="units", layout="block"))
@@ -240,16 +316,27 @@ def test_quasicyclic_shift():
 
 
 def test_row_space_test_rejects_permutations_that_leave_the_code():
-    G = build_code(CodeSpec(m=2, set_kind="lprime")).generators
-    swap = np.arange(G.shape[1])
+    code = build_code(CodeSpec(m=2, set_kind="lprime"))
+    swap = np.arange(code.length)
     swap[[0, 4]] = swap[[4, 0]]
-    assert not trace_code._stays_in_code(G, [swap])
-    assert trace_code._stays_in_code(G, [np.arange(G.shape[1])])
+    assert not trace_code._stays_in_code(code, [swap])
+    assert trace_code._stays_in_code(code, [np.arange(code.length)])
     for spec in (CodeSpec(1, "lprime", "block"), CodeSpec(2, "units", "block")):
-        G = build_code(spec).generators
-        N = G.shape[1]
-        assert not trace_code._stays_in_code(G, [(np.arange(N) - 1) % N])
-        assert trace_code._stays_in_code(G, [(np.arange(N) - N // 3) % N])
+        code = build_code(spec)
+        N = code.length
+        assert not trace_code._stays_in_code(code, [(np.arange(N) - 1) % N])
+        assert trace_code._stays_in_code(code, [(np.arange(N) - N // 3) % N])
+
+
+def test_row_space_test_reads_the_cached_reduction(monkeypatch):
+    code = build_code(CodeSpec(m=2, set_kind="units"))
+    code.reduction()
+
+    def refuse(*args):
+        raise AssertionError("second reduction")
+
+    monkeypatch.setattr(trace_code.linalg3, "row_reduce", refuse)
+    assert trace_code._stays_in_code(code, [np.arange(code.length)])
 
 
 def test_eval_context_accepts_explicit_coordinates():

@@ -9,20 +9,20 @@ import numpy as np
 import pytest
 
 import cubicode
+from cubicode import weight_dist
 from cubicode.chain_ring import code_length, get_ring
-from cubicode.trace_code import CodeSpec, scalar_from_index
+from cubicode.trace_code import CodeSpec, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
+    charsum_weights,
     distribution_csv,
     distribution_json,
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
     scalar_orbits,
-    scalar_weights,
-    vector_char_sum,
-    weight_from_char_sum,
 )
+from ring_reference import scalar_from_index, scalar_weights, vector_char_sum
 
 FROZEN = {
     ("lprime", 1): {0: 1, 18: 24, 27: 2},
@@ -223,10 +223,18 @@ def test_vector_char_sum():
 def test_char_sum_weight_equals_direct_weight_m1():
     for kind in ("lprime", "units"):
         spec = CodeSpec(m=1, set_kind=kind)
-        direct = scalar_weights(spec)
-        for idx in range(27):
-            a = scalar_from_index(1, idx)
-            assert weight_from_char_sum(spec, a) == int(direct[idx])
+        assert charsum_weights(spec).tolist() == scalar_weights(spec).tolist()
+
+
+def test_codeword_char_sum_takes_an_array_of_indices():
+    spec = CodeSpec(m=1, set_kind="lprime")
+    theta = weight_dist.codeword_char_sum(spec, np.array([0, 13, 26]))
+    assert theta.shape == (3,)
+    # ev(0) is the zero word: theta(0) = N
+    assert theta[0] == pytest.approx(code_length(1, "lprime"))
+    words = get_eval_context(1, "lprime").trace_triples([13, 26])
+    for word, value in zip(words, theta[1:]):
+        assert value == pytest.approx(vector_char_sum(word.reshape(-1)))
 
 
 def test_charsum_distribution_m2():
@@ -234,6 +242,37 @@ def test_charsum_distribution_m2():
     assert charsum_distribution(spec).entries == FROZEN[("lprime", 2)]
     with pytest.raises(ValueError):
         charsum_distribution(CodeSpec(m=3))
+
+
+def test_charsum_distribution_refuses_non_integral_sums(monkeypatch):
+    original = weight_dist.codeword_char_sum
+    monkeypatch.setattr(weight_dist, "codeword_char_sum", lambda spec, s: original(spec, s) + 0.1)
+    with pytest.raises(ArithmeticError):
+        charsum_distribution(CodeSpec(m=1))
+
+
+def test_charsum_integrality_check_holds_under_optimize():
+    script = """
+from cubicode import weight_dist
+from cubicode.trace_code import CodeSpec
+print("debug", __debug__)
+original = weight_dist.codeword_char_sum
+for shift in (0.1, 0.1j):
+    weight_dist.codeword_char_sum = lambda spec, s, d=shift: original(spec, s) + d
+    try:
+        weight_dist.charsum_distribution(CodeSpec(m=1))
+    except ArithmeticError:
+        print("refused")
+    else:
+        print("accepted")
+"""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
 
 
 def test_hamming_identity_on_random_vectors():
