@@ -73,16 +73,28 @@ REFERENCE_GRIESMER_TOTAL = {
 # shared helpers
 
 
-def _resolve_distribution(
-    spec: CodeSpec, method: str, threads: int, extrapolate: bool
-) -> WeightDistribution:
-    if method == "enumerate":
-        return enumerate_distribution(spec, threads=threads)
-    if method == "formula":
-        return formula_distribution(spec, extrapolate=extrapolate)
-    if method == "charsum":
+def _resolve_distribution(args, spec: CodeSpec) -> WeightDistribution | None:
+    """The distribution args.method asks for.
+
+    An enumeration is cross-checked against the closed form where one
+    is stated; on disagreement an error line goes to stderr and None is
+    returned, which the commands turn into exit status 1.
+    """
+    if args.method == "formula":
+        return formula_distribution(spec, extrapolate=args.extrapolate)
+    if args.method == "charsum":
         return charsum_distribution(spec)
-    return auto_distribution(spec, threads=threads, extrapolate=extrapolate)
+    if args.method != "enumerate":
+        return auto_distribution(spec, threads=args.threads, extrapolate=args.extrapolate)
+    dist = enumerate_distribution(spec, threads=args.threads)
+    try:
+        closed = formula_distribution(spec)
+    except ValueError:
+        return dist
+    if closed.entries != dist.entries:
+        print("error: enumeration disagrees with the closed form", file=sys.stderr)
+        return None
+    return dist
 
 
 def _spec_from_args(args) -> CodeSpec:
@@ -123,15 +135,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_weights(args) -> int:
     spec = _spec_from_args(args)
-    dist = _resolve_distribution(spec, args.method, args.threads, args.extrapolate)
-    if args.method == "enumerate":
-        try:
-            closed = formula_distribution(spec)
-        except ValueError:
-            closed = None
-        if closed is not None and closed.entries != dist.entries:
-            print("error: enumeration disagrees with the closed form", file=sys.stderr)
-            return 1
+    dist = _resolve_distribution(args, spec)
+    if dist is None:
+        return 1
     if args.output == "json":
         sys.stdout.write(json.dumps(distribution_json(dist), indent=2) + "\n")
     elif args.output == "csv":
@@ -231,7 +237,9 @@ def cmd_export(args) -> int:
         _, payload = _access_payload(build_code(spec))
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        dist = _resolve_distribution(spec, args.method, args.threads, args.extrapolate)
+        dist = _resolve_distribution(args, spec)
+        if dist is None:
+            return 1
         if args.format == "csv":
             text = distribution_csv(dist)
         else:

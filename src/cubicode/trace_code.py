@@ -175,7 +175,9 @@ class EvalContext:
 
         Scalars may come in any order and repeat; each run of equal
         hi = a1 * q + a2 shares one H, and a run of a3 = 0 .. q-1 reads
-        W3 in place.
+        W3 in place.  Orbit representatives (weight_dist.scalar_orbits)
+        mostly come in such full runs; the partial runs, where a
+        Frobenius power fixes (a1, a2), gather their W3 rows.
         """
         q = self.q
         s = np.asarray(scalars, dtype=np.int64).reshape(-1)

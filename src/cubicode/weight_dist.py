@@ -13,11 +13,13 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
 
 The lprime pattern for m == 0 (mod 4) is unproven and refused unless
 explicitly extrapolated.  The enumeration path scores one scalar per
-orbit of the group {+-1, +-u, +-u^2} against the whole defining set and
-counts its Lee weight with the orbit's size (ev(u a) rotates every
-triple of ev(a), ev(-a) = -ev(a)), and the character-sum path recovers
-the weights of all 3^{3m} scalars in one bulk pass from sums of cube
-roots of unity over the Gray images via
+orbit of the group <+-u^i, sigma> of order 6m against the whole defining
+set and counts its Lee weight with the orbit's size: ev(u a) rotates
+every triple of ev(a), ev(-a) = -ev(a), and for the Frobenius
+sigma(a) = a^3, which fixes u and permutes L, ev(sigma a) permutes the
+coordinates of ev(a) as Tr(sigma(a) x) = Tr(a sigma^{-1}(x)).  The
+character-sum path recovers the weights of all 3^{3m} scalars in one
+bulk pass from sums of cube roots of unity over the Gray images via
 
     w = (2N - theta(a) - theta(2a)) / 3,
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, allowed_x1, code_length, require_scope
 from .gf3m import get_field
 from .trace_code import CodeSpec, get_eval_context
 
@@ -177,43 +179,54 @@ def _finish(counts: Counter, spec: CodeSpec, method: str, note: str | None = Non
 
 @functools.lru_cache(maxsize=None)
 def scalar_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the group {+-1, +-u, +-u^2} on the 3^{3m} scalar indices.
+    """Orbits of the group <+-u^i, sigma> on the 3^{3m} scalar indices.
 
     Returns read-only (representatives, sizes): the least index of each
     orbit, ascending, and the number of scalars in it.  In nilpotent
-    coordinates u (a1, a2, a3) = (a1, a1 + a2, a2 + a3) and -a negates
-    all three, so the orbits come from field addition alone and do not
-    depend on the coordinate set.  ev(u a) is ev(a) with every triple
-    rotated and ev(-a) = -ev(a), so an orbit has one Lee weight.  There
-    are 1 + (q - 1)/2 + (q^3 - q)/6 orbits: {0}, the pairs {+-(0, 0, c)}
-    and sextuples.  Representatives with a1 != 0 come in runs of all q
-    values of a3, so EvalContext.lee_weights adds one H = W1[a1] + W2[a2]
-    to the whole W3 table, read in place.
+    coordinates u (a1, a2, a3) = (a1, a1 + a2, a2 + a3), -a negates all
+    three and the Frobenius sigma(a) = a^3 cubes each, so the orbits do
+    not depend on the coordinate set.  ev(u a) is ev(a) with every triple
+    rotated, ev(-a) = -ev(a) and ev(sigma a) a coordinate permutation of
+    ev(a) whenever L is sigma-stable (enumerate_distribution checks
+    that), so an orbit has one Lee weight.  The group has order 6m;
+    Burnside's lemma gives 6, 68 and 1106 orbits at m = 1, 2, 3.  Most
+    representatives with a1 != 0 come in runs of all q values of a3,
+    which EvalContext.lee_weights scores against the W3 table in place;
+    where some sigma^k fixes (a1, a2) up to +-u^i, the run is partial.
     """
     require_scope("enumeration", m)
     F = get_field(m)
     q = F.q
     add = F.add_table.astype(np.int64)
     neg = np.diagonal(add)  # -x = x + x in characteristic 3
+    frob = np.array([F.frobenius(x) for x in range(q)])
     index = np.arange(q**3)
     a1, a2, a3 = np.unravel_index(index, (q, q, q))
+    sigma = np.ravel_multi_index((frob[a1], frob[a2], frob[a3]), (q, q, q))
     least = index.copy()
     for _ in range(3):  # a, u a, u^2 a and their negatives
         for image in ((a1, a2, a3), (neg[a1], neg[a2], neg[a3])):
             np.minimum(least, np.ravel_multi_index(image, (q, q, q)), out=least)
         a2, a3 = add[a1, a2], add[a2, a3]
-    reps = np.flatnonzero(least == index)
-    sizes = np.bincount(least)[reps]
+    # sigma commutes with u and -1: the orbit of a joins the {+-u^i}-orbits of sigma^k a
+    total, image = least.copy(), index
+    for _ in range(m - 1):
+        image = sigma[image]
+        np.minimum(total, least[image], out=total)
+    reps = np.flatnonzero(total == index)
+    sizes = np.bincount(total)[reps]
     reps.flags.writeable = False
     sizes.flags.writeable = False
     return reps, sizes
 
 
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
-    """Brute force: the Lee weight of ev(a) for one scalar a per {+-u^i}-orbit.
+    """Brute force: the Lee weight of ev(a) for one scalar a per <+-u^i, sigma>-orbit.
 
     Each weight counts with its orbit's size, so the histogram covers
-    all 3^{3m} scalars (scalar_orbits).  The representatives are scored
+    all 3^{3m} scalars (scalar_orbits).  The Frobenius orbits are sound
+    only for a sigma-stable L, that is a sigma-stable set of allowed x1;
+    otherwise ArithmeticError is raised.  The representatives are scored
     in process, one EvalContext.lee_weights call per step of them.
     threads must be at least 1 and changes neither the work nor the
     result: at m <= 3 the kernel's numpy calls are too short for worker
@@ -222,6 +235,10 @@ def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistributi
     require_scope("enumeration", spec.m)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    F = get_field(spec.m)
+    x1 = set(allowed_x1(F, spec.set_kind))
+    if {F.frobenius(x) for x in x1} != x1:
+        raise ArithmeticError(f"the {spec.set_kind} defining set is not Frobenius-stable at m={spec.m}")
     ctx = get_eval_context(spec.m, spec.set_kind)
     reps, sizes = scalar_orbits(spec.m)
     counts: Counter = Counter()

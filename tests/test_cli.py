@@ -230,6 +230,24 @@ def test_weights_enumerate_cross_checks_formula(capsys, monkeypatch):
     assert "disagrees with the closed form" in err
 
 
+def test_enumeration_cross_check_shared_by_weights_and_export(capsys, monkeypatch):
+    import cubicode.cli as cli_mod
+    from cubicode.weight_dist import WeightDistribution
+
+    wrong = WeightDistribution(entries={0: 1, 18: 23, 27: 3}, total=27, method="enumerated")
+    monkeypatch.setattr(cli_mod, "enumerate_distribution", lambda spec, threads: wrong)
+    errors = []
+    for argv in (
+        ["weights", "--m", "1", "--method", "enumerate"],
+        ["export", "--m", "1", "--format", "csv", "--method", "enumerate"],
+        ["export", "--m", "1", "--format", "json", "--method", "enumerate"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors == ["error: enumeration disagrees with the closed form\n"] * 3
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["weights"])  # missing --m

@@ -10,7 +10,7 @@ import pytest
 
 import cubicode
 from cubicode import weight_dist
-from cubicode.chain_ring import code_length, get_ring
+from cubicode.chain_ring import code_length, defining_set, get_ring
 from cubicode.trace_code import CodeSpec, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
@@ -65,35 +65,55 @@ def test_threaded_m3_enumeration_merges_to_same_histogram():
 
 
 def _standard_orbit_maps(m):
-    """Index maps of a -> u a and a -> -a, built in standard coordinates.
+    """Index maps of a -> u a, a -> -a and a -> a^3, built in standard coordinates.
 
-    u (a + u b + u^2 c) = c + u a + u^2 b rotates the triple, so this
-    route shares nothing with the nilpotent formulas of scalar_orbits.
+    u (a + u b + u^2 c) = c + u a + u^2 b rotates the triple, negation
+    and the Frobenius act coefficientwise, so this route shares nothing
+    with the nilpotent formulas of scalar_orbits.
     """
     ring = get_ring(m)
     triples = [scalar_from_index(m, i) for i in range(3 ** (3 * m))]
     position = {t: i for i, t in enumerate(triples)}
     times_u = np.array([position[(c, a, b)] for a, b, c in triples])
     negated = np.array([position[ring.neg(t)] for t in triples])
-    return times_u, negated
+    frobenius = np.array([position[ring.frobenius(t)] for t in triples])
+    return times_u, negated, frobenius
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_orbit_map_counts_and_minima(m):
-    q = 3**m
+    size = 3 ** (3 * m)
+    count = {1: 6, 2: 68, 3: 1106}[m]
+    maps = _standard_orbit_maps(m)
+    least = np.full(size, -1)
+    for start in range(size):  # ascending: an unlabelled start is the least of its orbit
+        if least[start] >= 0:
+            continue
+        least[start], stack = start, [start]
+        while stack:
+            i = stack.pop()
+            for image in (int(f[i]) for f in maps):
+                if least[image] < 0:
+                    least[image] = start
+                    stack.append(image)
+    orbit_reps, orbit_sizes = np.unique(least, return_counts=True)
     reps, sizes = scalar_orbits(m)
-    assert int(sizes.sum()) == 3 ** (3 * m)
-    assert len(reps) == 1 + (q - 1) // 2 + (q**3 - q) // 6
-    assert sorted(set(sizes.tolist())) == [1, 2, 6]
-    times_u, negated = _standard_orbit_maps(m)
-    orbits = {}
-    for i in range(3 ** (3 * m)):
-        a, ua = i, int(times_u[i])
-        members = {a, ua, int(times_u[ua])}
-        members |= {int(negated[x]) for x in members}
-        orbits[min(members)] = len(members)
-    assert reps.tolist() == sorted(orbits)
-    assert sizes.tolist() == [orbits[r] for r in sorted(orbits)]
+    assert reps.tolist() == orbit_reps.tolist()
+    assert sizes.tolist() == orbit_sizes.tolist()
+    assert int(sizes.sum()) == size
+    assert len(reps) == count
+    # Burnside: the orbit count is the mean number of fixed points of the
+    # 6m group elements (-1)^e u^i sigma^k
+    times_u, negated, frobenius = maps
+    every = np.arange(size)
+    fixed, power = 0, every
+    for _ in range(m):
+        image = power
+        for _ in range(3):
+            fixed += int((image == every).sum()) + int((negated[image] == every).sum())
+            image = times_u[image]
+        power = frobenius[power]
+    assert fixed == 6 * m * count
 
 
 def test_orbit_map_is_cached_and_read_only():
@@ -108,9 +128,54 @@ def test_orbit_map_is_cached_and_read_only():
 @pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2) for kind in ("lprime", "units")], ids=str)
 def test_scalar_weights_invariant_under_u_and_negation(spec):
     weights = scalar_weights(spec)
-    times_u, negated = _standard_orbit_maps(spec.m)
+    times_u, negated, _ = _standard_orbit_maps(spec.m)
     assert (weights[times_u] == weights).all()
     assert (weights[negated] == weights).all()
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2) for kind in ("lprime", "units")], ids=str)
+def test_scalar_weights_invariant_under_frobenius(spec):
+    weights = scalar_weights(spec)
+    assert (weights[_standard_orbit_maps(spec.m)[2]] == weights).all()
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_defining_set_is_frobenius_stable(m, kind):
+    # the Frobenius orbits of scalar_orbits rest on sigma(L) = L
+    ring = get_ring(m)
+    nil = defining_set(m, kind).nilpotent.tolist()
+    images = {ring.to_nilpotent(ring.frobenius(ring.from_nilpotent(t))) for t in map(tuple, nil)}
+    assert images == set(map(tuple, nil))
+
+
+def test_enumeration_refuses_a_frobenius_unstable_set(monkeypatch):
+    # x1 in {1, x}: x^3 != x at m = 2, so the set is not sigma-stable
+    monkeypatch.setattr(weight_dist, "allowed_x1", lambda field, kind: (1, 3))
+    with pytest.raises(ArithmeticError):
+        enumerate_distribution(CodeSpec(m=2))
+
+
+def test_frobenius_stability_guard_holds_under_optimize():
+    script = """
+from cubicode import weight_dist
+from cubicode.trace_code import CodeSpec
+print("debug", __debug__)
+weight_dist.allowed_x1 = lambda field, kind: (1, 3)
+try:
+    weight_dist.enumerate_distribution(CodeSpec(m=2))
+except ArithmeticError:
+    print("refused")
+else:
+    print("accepted")
+"""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["debug False", "refused"]
 
 
 @pytest.mark.parametrize("kind", ("lprime", "units"))
