@@ -141,7 +141,7 @@ class DualWitness:
     weight1_exhausted: bool
 
 
-def dual_weight_search(spec: CodeSpec, wmax: int = 2) -> DualWitness:
+def dual_weight_search(spec: CodeSpec) -> DualWitness:
     """Certify the dual distance on the generator matrix G of the image.
 
     Weight 1 is exhausted by "G has no all-zero column": that covers every
@@ -151,8 +151,6 @@ def dual_weight_search(spec: CodeSpec, wmax: int = 2) -> DualWitness:
     ring relation ev(a)_1 + 2u^2 ev(a)_u = 0; it must annihilate every
     row of G.  Its scope is that of G, the defining-set scope.
     """
-    if wmax < 2:
-        raise ValueError("searches below weight 2 cannot terminate with a certificate")
     G = build_code(spec).generators
     zero_columns = np.flatnonzero(~G.any(axis=0))
     if len(zero_columns):

@@ -36,10 +36,10 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive,
 # materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    # materialized as an (|L|, 3) array; bounds G, the dual certificate and the
-    # structural checks (injectivity, group action, quasi-cyclic shift)
+    # materialized as an (|L|, 3) array; bounds G, the dual certificate, the
+    # structural checks (injectivity, group action, quasi-cyclic shift) and
+    # the enumeration
     "defining set": 3,
-    "enumeration": 3,
     "character sum": 2,
     "Gauss periods": 8,
     # formula and bounds: above this some exact output has more digits than

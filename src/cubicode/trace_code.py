@@ -56,11 +56,6 @@ LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
 LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
 
-# (scalar, coordinate) pairs per lee_weights call in the enumerations: sets
-# only how many scalars one call scores; a call's memory is set by its
-# longest run of one hi, not by this
-_CHUNK_ELEMS = 4_000_000
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -132,11 +127,10 @@ class EvalContext:
     tables w1, w2, w3 are bit-sliced, (q, 2, words) uint64 planes in
     linalg3's bit order with zero padding, so sums are linalg3.add.
 
-    lee_weights scores a run of scalars with one hi = (a1, a2) as
-    H = W1[a1] + W2[a2] plus the rows W3[a3].  A trit of the sum is
-    nonzero exactly where H differs from -W3[a3], whose planes are those
-    of W3[a3] swapped, so the Lee weight is the popcount of
-    (h1 ^ b2) | (h2 ^ b1) for W3[a3] = (b1, b2).
+    lee_weights scores a scalar as H = W1[a1] + W2[a2] plus W3[a3].  A
+    trit of the sum is nonzero exactly where H differs from -W3[a3],
+    whose planes are those of W3[a3] swapped, so the Lee weight is the
+    popcount of (h1 ^ b2) | (h2 ^ b1) for W3[a3] = (b1, b2).
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
@@ -148,7 +142,6 @@ class EvalContext:
         self.x2 = arr[:, 1].copy()
         self.x3 = arr[:, 2].copy()
         self.n = len(arr)
-        self.step = max(1, _CHUNK_ELEMS // self.n)
         # Tr(3^i x) at the coordinates, one row per basis element 3^i
         tm = self.field.trace_mul_table[3 ** np.arange(m)]
         t1, t2, t3 = tm[:, self.x1], tm[:, self.x2], tm[:, self.x3]
@@ -173,30 +166,18 @@ class EvalContext:
     def lee_weights(self, scalars) -> np.ndarray:
         """Lee weight of ev(a) for each scalar index, as int64.
 
-        Scalars may come in any order and repeat; each run of equal
-        hi = a1 * q + a2 shares one H, and a run of a3 = 0 .. q-1 reads
-        W3 in place.  Orbit representatives (weight_dist.scalar_orbits)
-        mostly come in such full runs; the partial runs, where a
-        Frobenius power fixes (a1, a2), gather their W3 rows.
+        Scalars may come in any order and repeat.  One scalar is scored
+        at a time, so a call holds O(|L|) words whatever its length.
         """
         q = self.q
-        s = np.asarray(scalars, dtype=np.int64).reshape(-1)
-        hi, a3 = s // q, s % q
-        starts = np.flatnonzero(np.diff(hi, prepend=-1))
-        ends = np.append(starts[1:], len(s))
-        weights = np.empty(len(s), dtype=np.int64)
-        longest = int((ends - starts).max(initial=0))
-        rows = np.empty((longest, *self.w3.shape[1:]), dtype=np.uint64)
-        every = np.arange(q)
-        for lo, end in zip(starts.tolist(), ends.tolist()):
-            a1, a2 = divmod(int(hi[lo]), q)
-            if end - lo == q and np.array_equal(a3[lo:end], every):
-                w3 = self.w3
-            else:
-                w3 = np.take(self.w3, a3[lo:end], axis=0, out=rows[: end - lo])
+        weights = []
+        for s in np.asarray(scalars, dtype=np.int64).reshape(-1).tolist():
+            a1, rest = divmod(s, q * q)
+            a2, a3 = divmod(rest, q)
             h1, h2 = linalg3.add(self.w1[a1], self.w2[a2])
-            weights[lo:end] = np.bitwise_count((h1 ^ w3[:, 1]) | (h2 ^ w3[:, 0])).sum(axis=-1)
-        return weights
+            b1, b2 = self.w3[a3]
+            weights.append(int(np.bitwise_count((h1 ^ b2) | (h2 ^ b1)).sum()))
+        return np.array(weights, dtype=np.int64)
 
 
 def _linear_tables(traces: np.ndarray) -> np.ndarray:

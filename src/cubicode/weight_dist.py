@@ -13,11 +13,9 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
 
 The lprime pattern for m == 0 (mod 4) is unproven and refused unless
 explicitly extrapolated.  The enumeration path scores one scalar per
-orbit of the group <+-u^i, sigma> of order 6m against the whole defining
-set and counts its Lee weight with the orbit's size: ev(u a) rotates
-every triple of ev(a), ev(-a) = -ev(a), and for the Frobenius
-sigma(a) = a^3, which fixes u and permutes L, ev(sigma a) permutes the
-coordinates of ev(a) as Tr(sigma(a) x) = Tr(a sigma^{-1}(x)).  The
+orbit of L (scalar_orbits), 7 for lprime and 4 for units, against the
+whole defining set and counts its Lee weight with the orbit's size:
+ev(v a) permutes the coordinates of ev(a) for v in L.  The
 character-sum path recovers the weights of all 3^{3m} scalars in one
 bulk pass from sums of cube roots of unity over the Gray images via
 
@@ -30,14 +28,13 @@ sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, allowed_x1, code_length, require_scope
+from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, allowed_x1, code_length, defining_set_generators, require_scope
 from .gf3m import get_field
 from .trace_code import CodeSpec, get_eval_context
 
@@ -91,22 +88,18 @@ def gauss_periods(m: int) -> GaussPeriods:
         g = root if m % 4 == 2 else -root
         exact_even: tuple[int, int] | None = ((g - 1) // 2, (-g - 1) // 2)
         odd_sign = None
-        closed_sq = complex(exact_even[0])
-        closed_ns = complex(exact_even[1])
     else:
         exact_even = None
         odd_sign = 1 if m % 4 == 1 else -1
-        half_root = math.sqrt(3**m) / 2
-        closed_sq = complex(-0.5, odd_sign * half_root)
-        closed_ns = complex(-0.5, -odd_sign * half_root)
-    for direct, closed in ((sq, closed_sq), (ns, closed_ns)):
+    periods = GaussPeriods(
+        m=m, squares=sq, nonsquares=ns, exact_even=exact_even, odd_imag_sign=odd_sign
+    )
+    for direct, closed in ((sq, periods.closed_squares), (ns, periods.closed_nonsquares)):
         if abs(direct - closed) > 1e-9 * abs(closed):
             raise ArithmeticError(
                 f"character sum {direct} disagrees with closed form {closed} at m={m}"
             )
-    return GaussPeriods(
-        m=m, squares=sq, nonsquares=ns, exact_even=exact_even, odd_imag_sign=odd_sign
-    )
+    return periods
 
 
 def codeword_char_sum(spec: CodeSpec, scalars) -> np.ndarray:
@@ -177,75 +170,48 @@ def _finish(counts: Counter, spec: CodeSpec, method: str, note: str | None = Non
     )
 
 
-@functools.lru_cache(maxsize=None)
-def scalar_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the group <+-u^i, sigma> on the 3^{3m} scalar indices.
+def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbits of L on the 3^{3m} scalar indices: (representatives, sizes).
 
-    Returns read-only (representatives, sizes): the least index of each
-    orbit, ascending, and the number of scalars in it.  In nilpotent
-    coordinates u (a1, a2, a3) = (a1, a1 + a2, a2 + a3), -a negates all
-    three and the Frobenius sigma(a) = a^3 cubes each, so the orbits do
-    not depend on the coordinate set.  ev(u a) is ev(a) with every triple
-    rotated, ev(-a) = -ev(a) and ev(sigma a) a coordinate permutation of
-    ev(a) whenever L is sigma-stable (enumerate_distribution checks
-    that), so an orbit has one Lee weight.  The group has order 6m;
-    Burnside's lemma gives 6, 68 and 1106 orbits at m = 1, 2, 3.  Most
-    representatives with a1 != 0 come in runs of all q values of a3,
-    which EvalContext.lee_weights scores against the W3 table in place;
-    where some sigma^k fixes (a1, a2) up to +-u^i, the run is partial.
+    ev(v a)_x = ev(a)_{v x} and x -> v x permutes L for v in L, so an
+    orbit has one Lee weight.  L is the set of units whose first nilpotent
+    coordinate lies in X1 = <gamma> (defining_set_generators), so the
+    orbit of a nonzero scalar whose first nonzero nilpotent coordinate
+    is c holds every scalar whose first nonzero coordinate sits in the
+    same place and lies in the coset c X1.  The representatives are 0,
+    then (c, 0, 0), (0, c, 0), (0, 0, c) for c = g^j, j < (q - 1) / |X1|,
+    with sizes 1, |X1| q^2, |X1| q, |X1|: 7 orbits for lprime and 4 for
+    units at every m.  An X1 that is not <gamma> raises ArithmeticError.
     """
-    require_scope("enumeration", m)
     F = get_field(m)
     q = F.q
-    add = F.add_table.astype(np.int64)
-    neg = np.diagonal(add)  # -x = x + x in characteristic 3
-    frob = np.array([F.frobenius(x) for x in range(q)])
-    index = np.arange(q**3)
-    a1, a2, a3 = np.unravel_index(index, (q, q, q))
-    sigma = np.ravel_multi_index((frob[a1], frob[a2], frob[a3]), (q, q, q))
-    least = index.copy()
-    for _ in range(3):  # a, u a, u^2 a and their negatives
-        for image in ((a1, a2, a3), (neg[a1], neg[a2], neg[a3])):
-            np.minimum(least, np.ravel_multi_index(image, (q, q, q)), out=least)
-        a2, a3 = add[a1, a2], add[a2, a3]
-    # sigma commutes with u and -1: the orbit of a joins the {+-u^i}-orbits of sigma^k a
-    total, image = least.copy(), index
-    for _ in range(m - 1):
-        image = sigma[image]
-        np.minimum(total, least[image], out=total)
-    reps = np.flatnonzero(total == index)
-    sizes = np.bincount(total)[reps]
-    reps.flags.writeable = False
-    sizes.flags.writeable = False
+    x1 = set(allowed_x1(F, kind))
+    gamma = defining_set_generators(m, kind)[0][0]
+    if {F.pow(gamma, k) for k in range(q - 1)} != x1:
+        raise ArithmeticError(f"the allowed x1 of the {kind} set are not the subgroup <{gamma}> at m={m}")
+    cosets = [F.pow(F.generator, j) for j in range((q - 1) // len(x1))]
+    shifts = (q * q, q, 1)
+    reps = (0, *(c * shift for c in cosets for shift in shifts))
+    sizes = (1, *(len(x1) * shift for _ in cosets for shift in shifts))
     return reps, sizes
 
 
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
-    """Brute force: the Lee weight of ev(a) for one scalar a per <+-u^i, sigma>-orbit.
+    """Brute force: the Lee weight of ev(a) for one scalar a per L-orbit.
 
     Each weight counts with its orbit's size, so the histogram covers
-    all 3^{3m} scalars (scalar_orbits).  The Frobenius orbits are sound
-    only for a sigma-stable L, that is a sigma-stable set of allowed x1;
-    otherwise ArithmeticError is raised.  The representatives are scored
-    in process, one EvalContext.lee_weights call per step of them.
-    threads must be at least 1 and changes neither the work nor the
-    result: at m <= 3 the kernel's numpy calls are too short for worker
-    processes or threads to pay for themselves.
+    all 3^{3m} scalars (scalar_orbits, which refuses a set of allowed x1
+    that is not a cyclic subgroup).  The representatives are scored in
+    one EvalContext.lee_weights call.  threads must be at least 1 and
+    changes neither the work nor the result.
     """
-    require_scope("enumeration", spec.m)
+    require_scope("defining set", spec.m)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    F = get_field(spec.m)
-    x1 = set(allowed_x1(F, spec.set_kind))
-    if {F.frobenius(x) for x in x1} != x1:
-        raise ArithmeticError(f"the {spec.set_kind} defining set is not Frobenius-stable at m={spec.m}")
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    reps, sizes = scalar_orbits(spec.m)
+    reps, sizes = scalar_orbits(spec.m, spec.set_kind)
     counts: Counter = Counter()
-    for lo in range(0, len(reps), ctx.step):
-        chunk = slice(lo, lo + ctx.step)
-        for w, size in zip(ctx.lee_weights(reps[chunk]).tolist(), sizes[chunk].tolist()):
-            counts[w] += size
+    for w, size in zip(get_eval_context(spec.m, spec.set_kind).lee_weights(reps).tolist(), sizes):
+        counts[w] += size
     return _finish(counts, spec, "enumerated")
 
 
@@ -291,9 +257,7 @@ def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDis
     return _finish(counts, spec, "formula", note)
 
 
-def auto_distribution(
-    spec: CodeSpec, threads: int = 1, extrapolate: bool = False
-) -> WeightDistribution:
+def auto_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:
     """The closed form where one is stated, else enumeration within its scope.
 
     Above the enumeration scope the closed form's refusal is raised, so
@@ -302,9 +266,9 @@ def auto_distribution(
     try:
         return formula_distribution(spec, extrapolate=extrapolate)
     except ValueError:
-        if spec.m > SCOPE_MAX_M["enumeration"]:
+        if spec.m > SCOPE_MAX_M["defining set"]:
             raise
-        return enumerate_distribution(spec, threads=threads)
+        return enumerate_distribution(spec)
 
 
 # ---------------------------------------------------------------------------

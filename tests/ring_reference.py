@@ -41,10 +41,7 @@ def standard_elements(dset: DefiningSet) -> tuple[tuple[int, int, int], ...]:
 def scalar_weights(spec: CodeSpec) -> np.ndarray:
     """Lee weight of ev(a) for every scalar, in nilpotent index order."""
     ctx = get_eval_context(spec.m, spec.set_kind)
-    every = np.arange(ctx.q**3)
-    return np.concatenate(
-        [ctx.lee_weights(every[lo : lo + ctx.step]) for lo in range(0, len(every), ctx.step)]
-    )
+    return ctx.lee_weights(np.arange(ctx.q**3))
 
 
 def vector_char_sum(y) -> complex:

@@ -90,8 +90,6 @@ def test_dual_guards():
     assert dual_weight_search(CodeSpec(m=3)).witness == ((0, 1), (82, 2))
     with pytest.raises(ValueError):
         dual_weight_search(CodeSpec(m=4))
-    with pytest.raises(ValueError):
-        dual_weight_search(CodeSpec(m=1), wmax=1)
 
 
 def test_dual_witness_annihilates_codewords():

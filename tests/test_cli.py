@@ -319,6 +319,26 @@ def test_verify_paper_json(capsys):
         assert "expected" in claim and "computed" in claim
 
 
+def test_gauss_claims_mismatch_on_a_wrong_closed_form_or_direct_sum(monkeypatch):
+    import dataclasses
+
+    import cubicode.cli as cli_mod
+    from cubicode.weight_dist import GaussPeriods, gauss_periods
+
+    def gauss_statuses():
+        return {c.id: c.status for c in build_claims() if c.id.startswith("gauss-periods")}
+
+    original = GaussPeriods.gauss_sum
+    with monkeypatch.context() as patch:
+        patch.setattr(GaussPeriods, "gauss_sum", property(lambda gp: -original.fget(gp)))
+        assert set(gauss_statuses().values()) == {"mismatch"}
+    # a direct sum off by one: the claim compares expected with computed itself
+    monkeypatch.setattr(
+        cli_mod, "gauss_periods", lambda m: dataclasses.replace(gauss_periods(m), squares=gauss_periods(m).squares + 1)
+    )
+    assert set(gauss_statuses().values()) == {"mismatch"}
+
+
 def test_build_claims_fast_set():
     claims = build_claims(include_slow=False)
     assert len(claims) == 35

@@ -11,7 +11,8 @@ import pytest
 import cubicode
 from cubicode import weight_dist
 from cubicode.chain_ring import code_length, defining_set, get_ring
-from cubicode.trace_code import CodeSpec, get_eval_context
+from cubicode.gf3m import get_field
+from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
     charsum_weights,
@@ -47,7 +48,7 @@ def test_formula_matches_enumeration(kind, m):
 
 
 def test_threaded_enumeration_merges_to_same_histogram():
-    # one lee_weights call: threads changes neither the work nor the result
+    # threads changes neither the work nor the result
     spec = CodeSpec(m=2, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
@@ -56,7 +57,7 @@ def test_threaded_enumeration_merges_to_same_histogram():
 
 
 def test_threaded_m3_enumeration_merges_to_same_histogram():
-    # many lee_weights calls, merged in one histogram whatever the thread count
+    # one histogram whatever the thread count
     spec = CodeSpec(m=3, set_kind="lprime")
     assert (
         enumerate_distribution(spec, threads=3).entries
@@ -69,7 +70,7 @@ def _standard_orbit_maps(m):
 
     u (a + u b + u^2 c) = c + u a + u^2 b rotates the triple, negation
     and the Frobenius act coefficientwise, so this route shares nothing
-    with the nilpotent formulas of scalar_orbits.
+    with the nilpotent coordinates of scalar_orbits.
     """
     ring = get_ring(m)
     triples = [scalar_from_index(m, i) for i in range(3 ** (3 * m))]
@@ -81,48 +82,44 @@ def _standard_orbit_maps(m):
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
-def test_orbit_map_counts_and_minima(m):
-    size = 3 ** (3 * m)
-    count = {1: 6, 2: 68, 3: 1106}[m]
-    maps = _standard_orbit_maps(m)
-    least = np.full(size, -1)
-    for start in range(size):  # ascending: an unlabelled start is the least of its orbit
-        if least[start] >= 0:
-            continue
-        least[start], stack = start, [start]
-        while stack:
-            i = stack.pop()
-            for image in (int(f[i]) for f in maps):
-                if least[image] < 0:
-                    least[image] = start
-                    stack.append(image)
-    orbit_reps, orbit_sizes = np.unique(least, return_counts=True)
-    reps, sizes = scalar_orbits(m)
-    assert reps.tolist() == orbit_reps.tolist()
-    assert sizes.tolist() == orbit_sizes.tolist()
-    assert int(sizes.sum()) == size
-    assert len(reps) == count
-    # Burnside: the orbit count is the mean number of fixed points of the
-    # 6m group elements (-1)^e u^i sigma^k
-    times_u, negated, frobenius = maps
-    every = np.arange(size)
-    fixed, power = 0, every
-    for _ in range(m):
-        image = power
-        for _ in range(3):
-            fixed += int((image == every).sum()) + int((negated[image] == every).sum())
-            image = times_u[image]
-        power = frobenius[power]
-    assert fixed == 6 * m * count
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_scalar_orbits_are_the_weight_classes_of_every_scalar(m, kind):
+    # classify every scalar by its leading nonzero nilpotent coordinate and,
+    # for lprime, that coordinate's quadratic character: the orbits of L
+    F = get_field(m)
+    q = F.q
+
+    def label(index):
+        for place, c in enumerate((index // (q * q), index // q % q, index % q)):
+            if c:
+                return place, F.quadratic_character(c) if kind == "lprime" else 1
+        return None
+
+    weights = scalar_weights(CodeSpec(m, kind)).tolist()
+    classes = {}
+    for index, w in enumerate(weights):
+        classes.setdefault(label(index), []).append(w)
+    reps, sizes = scalar_orbits(m, kind)
+    assert len(reps) == {"lprime": 7, "units": 4}[kind] == len(classes)
+    assert set(map(label, reps)) == set(classes)
+    for rep, size in zip(reps, sizes):
+        members = classes[label(rep)]
+        assert set(members) == {weights[rep]}
+        assert len(members) == size
 
 
-def test_orbit_map_is_cached_and_read_only():
-    reps, sizes = scalar_orbits(2)
-    assert scalar_orbits(2)[0] is reps
-    assert not reps.flags.writeable and not sizes.flags.writeable
-    assert reps[0] == 0 and sizes[0] == 1
-    with pytest.raises(ValueError):
-        scalar_orbits(4)
+def test_enumeration_makes_one_lee_weights_call(monkeypatch):
+    calls = []
+    original = EvalContext.lee_weights
+
+    def counted(ctx, scalars):
+        calls.append(len(scalars))
+        return original(ctx, scalars)
+
+    monkeypatch.setattr(EvalContext, "lee_weights", counted)
+    for kind in ("lprime", "units"):
+        enumerate_distribution(CodeSpec(m=3, set_kind=kind))
+    assert calls == [7, 4]
 
 
 @pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2) for kind in ("lprime", "units")], ids=str)
@@ -142,21 +139,21 @@ def test_scalar_weights_invariant_under_frobenius(spec):
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("kind", ("lprime", "units"))
 def test_defining_set_is_frobenius_stable(m, kind):
-    # the Frobenius orbits of scalar_orbits rest on sigma(L) = L
+    # sigma(L) = L, so the Frobenius permutes the coordinates of every codeword
     ring = get_ring(m)
     nil = defining_set(m, kind).nilpotent.tolist()
     images = {ring.to_nilpotent(ring.frobenius(ring.from_nilpotent(t))) for t in map(tuple, nil)}
     assert images == set(map(tuple, nil))
 
 
-def test_enumeration_refuses_a_frobenius_unstable_set(monkeypatch):
-    # x1 in {1, x}: x^3 != x at m = 2, so the set is not sigma-stable
+def test_enumeration_refuses_x1_that_is_not_a_subgroup(monkeypatch):
+    # x1 in {1, x}: not closed under products at m = 2, so not the subgroup <gamma>
     monkeypatch.setattr(weight_dist, "allowed_x1", lambda field, kind: (1, 3))
     with pytest.raises(ArithmeticError):
         enumerate_distribution(CodeSpec(m=2))
 
 
-def test_frobenius_stability_guard_holds_under_optimize():
+def test_subgroup_guard_holds_under_optimize():
     script = """
 from cubicode import weight_dist
 from cubicode.trace_code import CodeSpec
