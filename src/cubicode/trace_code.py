@@ -17,11 +17,12 @@ shift by n = |L| places, which is what check_quasicyclic certifies.
 Only this module knows the layouts; elsewhere set positions map to image
 positions through gray_positions.
 
-Scalars are nilpotent indices and coordinates nilpotent triples (see
-EvalContext).  EvalContext is the one evaluator of ev(a): generators,
-enumeration and the structural checks all go through it.  evaluate, the
-per-coordinate ring arithmetic on standard triples, is kept as the
-independent reference the tests compare EvalContext against.
+Scalars are nilpotent indices and coordinates nilpotent triples.
+EvalContext is the one evaluator of ev(a), straight from the field's
+trace_mul_table; generators, enumeration, character sums and the
+structural checks all go through it.  evaluate, the per-coordinate ring
+arithmetic on standard triples, is kept as the independent reference the
+tests compare EvalContext against.
 
 ev is F_3-linear, so every code here is the F_3 row space of its
 generator matrix G, and the structural checks decide on G alone:
@@ -112,25 +113,16 @@ class EvalContext:
     """Bulk evaluation of Tr(a x) over a fixed coordinate set.
 
     Scalars are indexed in nilpotent coordinates,
-    index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2.
-    The ring trace acts componentwise in nilpotent coordinates, and the
-    standard coefficients of Tr(a x) are recovered from the nilpotent
-    traces (t1, t2, t3) as (t1 - t2 + t3, t2 + t3, t3).  So ev(a) is
-    F_3-linear in (a1, a2, a3):
+    index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2,
+    and the coordinates held as nilpotent triples (x1, x2, x3).  The ring
+    trace acts componentwise there, so with T the field's trace_mul_table
+    the nilpotent traces of a x, the ring product, are
 
-        ev(a) = W1[a1] + W2[a2] + W3[a3]  (mod 3),
+        t1 = T[a1, x1],
+        t2 = T[a1, x2] + T[a2, x1],
+        t3 = T[a1, x3] + T[a2, x2] + T[a3, x1],
 
-    where W1[c], W2[c], W3[c] are the interleaved words of (c, 0, 0),
-    (0, c, 0), (0, 0, c).  Each is F_3-linear in c, whose index holds its
-    base-3 coefficient digits, so a table is built from its m basis rows
-    W[3^i] by doubling, as TernaryCode.codewords builds the code.  The
-    tables w1, w2, w3 are bit-sliced, (q, 2, words) uint64 planes in
-    linalg3's bit order with zero padding, so sums are linalg3.add.
-
-    lee_weights scores a scalar as H = W1[a1] + W2[a2] plus W3[a3].  A
-    trit of the sum is nonzero exactly where H differs from -W3[a3],
-    whose planes are those of W3[a3] swapped, so the Lee weight is the
-    popcount of (h1 ^ b2) | (h2 ^ b1) for W3[a3] = (b1, b2).
+    and Tr(a x) has standard coefficients (t1 - t2 + t3, t2 + t3, t3) mod 3.
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
@@ -138,72 +130,30 @@ class EvalContext:
         self.field = get_field(m)
         self.q = self.field.q
         arr = np.asarray(nilpotent_coords, dtype=np.int16).reshape(-1, 3)
-        self.x1 = arr[:, 0].copy()
-        self.x2 = arr[:, 1].copy()
-        self.x3 = arr[:, 2].copy()
+        self.x1, self.x2, self.x3 = arr.T.copy()
         self.n = len(arr)
-        # Tr(3^i x) at the coordinates, one row per basis element 3^i
-        tm = self.field.trace_mul_table[3 ** np.arange(m)]
-        t1, t2, t3 = tm[:, self.x1], tm[:, self.x2], tm[:, self.x3]
-        zero = np.zeros_like(t1)
-        self._tables = _linear_tables(np.array([(t1, t2, t3), (zero, t1, t2), (zero, zero, t1)]))
-        self.w1, self.w2, self.w3 = self._tables
-
-    @functools.cached_property
-    def _words(self) -> tuple[np.ndarray, ...]:
-        """The three tables as int8 (q, 3n) words, unpacked once."""
-        flags = np.unpackbits(self._tables.view(np.uint8), axis=-1, count=3 * self.n, bitorder="little")
-        return tuple((flags[:, :, 0] + 2 * flags[:, :, 1]).view(np.int8))
 
     def trace_triples(self, scalars) -> np.ndarray:
-        """(len(scalars), n, 3) standard-coordinate words Tr(a x)."""
+        """(len(scalars), n, 3) int8 words Tr(a x) for integer scalar indices in [0, q^3)."""
         q = self.q
-        w1, w2, w3 = self._words
-        s = np.asarray(scalars, dtype=np.int64)
-        words = (w1[s // (q * q)] + w2[(s // q) % q] + w3[s % q]) % 3
-        return words.reshape(len(s), self.n, 3)
+        s = np.asarray(scalars).reshape(-1)
+        if s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= q**3):
+            raise ValueError(f"scalar indices must be integers in [0, 3^{3 * self.m}) = [0, {q**3})")
+        s = s.astype(np.int64)
+        T = self.field.trace_mul_table
+        r1, r2, r3 = T[s // (q * q)], T[s // q % q], T[s % q]
+        t1 = r1.take(self.x1, axis=1)
+        t2 = r1.take(self.x2, axis=1) + r2.take(self.x1, axis=1)
+        t3 = r1.take(self.x3, axis=1) + r2.take(self.x2, axis=1) + r3.take(self.x1, axis=1)
+        return np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
 
     def lee_weights(self, scalars) -> np.ndarray:
-        """Lee weight of ev(a) for each scalar index, as int64.
+        """Lee weight of ev(a) per scalar index, as int64: the nonzero trits of trace_triples.
 
-        Scalars may come in any order and repeat.  One scalar is scored
-        at a time, so a call holds O(|L|) words whatever its length.
+        A call holds O(len(scalars) * |L|) words.  The library's largest are the
+        enumeration's 7 scalars at any m and the character sums' q^3 at m <= 2.
         """
-        q = self.q
-        weights = []
-        for s in np.asarray(scalars, dtype=np.int64).reshape(-1).tolist():
-            a1, rest = divmod(s, q * q)
-            a2, a3 = divmod(rest, q)
-            h1, h2 = linalg3.add(self.w1[a1], self.w2[a2])
-            b1, b2 = self.w3[a3]
-            weights.append(int(np.bitwise_count((h1 ^ b2) | (h2 ^ b1)).sum()))
-        return np.array(weights, dtype=np.int64)
-
-
-def _linear_tables(traces: np.ndarray) -> np.ndarray:
-    """Bit-sliced (tables, 3^m, 2, words) tables of F_3-linear words W[c].
-
-    traces[k] holds the nilpotent traces (t1, t2, t3), each (m, n), of
-    the basis rows W[3^i] of table k.  Rows 3^i .. 2 3^i - 1 are the rows
-    before them plus W[3^i], and rows 2 3^i .. 3^(i+1) - 1 those rows
-    minus W[3^i].
-    """
-    t1, t2, t3 = traces.swapaxes(0, 1)
-    tables, m, n = t1.shape
-    basis = (np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3).reshape(tables, m, 3 * n)
-    words = -(-3 * n // 64)
-    flags = np.zeros((tables, m, 2, 64 * words), dtype=bool)
-    flags[:, :, 0, : 3 * n] = basis == 1
-    flags[:, :, 1, : 3 * n] = basis == 2
-    planes = np.packbits(flags, axis=-1, bitorder="little").view(np.uint64)
-    table = np.zeros((tables, 3**m, 2, words), dtype=np.uint64)
-    for i in range(m):
-        size = 3**i
-        b1, b2 = planes[:, i, None, 0], planes[:, i, None, 1]
-        done = np.moveaxis(table[:, :size], 2, 0)
-        np.moveaxis(table[:, size : 2 * size], 2, 0)[:] = linalg3.add(done, (b1, b2))
-        np.moveaxis(table[:, 2 * size : 3 * size], 2, 0)[:] = linalg3.add(done, (b2, b1))
-    return table
+        return np.count_nonzero(self.trace_triples(scalars), axis=(1, 2)).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)

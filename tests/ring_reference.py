@@ -7,6 +7,8 @@ character sum of a single vector live here, where the tests use them as
 independent routes.
 """
 
+import functools
+
 import numpy as np
 
 from cubicode.chain_ring import DefiningSet, get_ring
@@ -39,9 +41,31 @@ def standard_elements(dset: DefiningSet) -> tuple[tuple[int, int, int], ...]:
 
 
 def scalar_weights(spec: CodeSpec) -> np.ndarray:
-    """Lee weight of ev(a) for every scalar, in nilpotent index order."""
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    return ctx.lee_weights(np.arange(ctx.q**3))
+    """Lee weight of ev(a) for every scalar, in nilpotent index order (cached, read-only)."""
+    return _scalar_weights(spec.m, spec.set_kind)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_weights(m: int, kind: str) -> np.ndarray:
+    """Brute force over all scalars by linearity, without EvalContext.lee_weights.
+
+    ev(a) = W1[a1] + W2[a2] + W3[a3] (mod 3) for the words Wk[c] of the 3q
+    scalars (c, 0, 0), (0, c, 0), (0, 0, c); a trit of ev(a) is nonzero
+    exactly where W1[a1] + W2[a2] differs from -W3[a3].  One a1 at a time
+    holds q^2 |L| trits, about 40 MB at m = 3.
+    """
+    ctx = get_eval_context(m, kind)
+    q = ctx.q
+    c = np.arange(q)
+    w1, w2, w3 = (ctx.trace_triples(c * step).reshape(q, -1) for step in (q * q, q, 1))
+    minus_w3 = -w3 % 3
+    weights = np.empty((q, q, q), dtype=np.int64)
+    for a1 in range(q):
+        h = (w1[a1] + w2) % 3
+        weights[a1] = (h[:, None, :] != minus_w3).sum(axis=-1)
+    weights = weights.reshape(-1)
+    weights.flags.writeable = False
+    return weights
 
 
 def vector_char_sum(y) -> complex:

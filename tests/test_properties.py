@@ -223,13 +223,12 @@ def test_eval_context_equals_ring_arithmetic_on_random_coordinates(data):
     ring = get_ring(m)
     q = ring.field.q
     element = st.integers(0, q - 1)
-    # 1 .. 64 repeated and unordered nilpotent triples: 3n fills one to three
-    # uint64 words, with padding bits unless n = 64
+    # 1 .. 64 repeated and unordered nilpotent triples
     coords = data.draw(st.lists(st.tuples(element, element, element), min_size=1, max_size=60))
     coords += data.draw(st.lists(st.sampled_from(coords), max_size=4))
     ctx = trace_code.EvalContext(m, coords)
-    # random scalars, a run of one hi with repeats (it may be longer than q)
-    # and possibly the full run a3 = 0 .. q-1
+    # random scalars, repeats of one hi = a1 q + a2 with varying a3 and
+    # possibly every a3 = 0 .. q-1
     hi = data.draw(st.integers(0, q * q - 1))
     scalars = data.draw(st.lists(st.integers(0, q**3 - 1), max_size=12))
     scalars += [hi * q + a3 for a3 in data.draw(st.lists(element, max_size=q + 3))]

@@ -20,6 +20,7 @@ from cubicode.trace_code import (
     gray_image,
     ring_basis,
 )
+from cubicode.weight_dist import codeword_char_sum
 from ring_reference import index_of_scalar, scalar_from_index, standard_elements
 
 ALL_SPECS_M2 = [
@@ -115,10 +116,23 @@ def test_lee_weights_match_reference_evaluation_m3(kind):
     dset = defining_set(3, kind)
     ctx = get_eval_context(3, kind)
     indices = random.Random(3).sample(range(ctx.q**3), 2)
-    for idx in indices:
+    for idx, row in zip(indices, ctx.trace_triples(indices)):
         reference = evaluate(scalar_from_index(3, idx), dset)
+        assert [tuple(t) for t in row.tolist()] == list(reference)
         lee = sum(3 - triple.count(0) for triple in reference)
         assert int(ctx.lee_weights(np.array([idx]))[0]) == lee
+
+
+@pytest.mark.parametrize("bad", ([-1], [27], [2.7], np.array([0, 27], dtype=np.uint64), [True]), ids=repr)
+def test_scalar_indices_must_be_integers_in_range(bad):
+    ctx = get_eval_context(1, "lprime")
+    for evaluate_scalars in (ctx.trace_triples, ctx.lee_weights):
+        with pytest.raises(ValueError, match=r"\[0, 27\)"):
+            evaluate_scalars(bad)
+    with pytest.raises(ValueError, match=r"\[0, 27\)"):
+        codeword_char_sum(CodeSpec(m=1), bad)
+    assert ctx.trace_triples([]).shape == (0, ctx.n, 3)
+    assert ctx.lee_weights([]).shape == (0,)
 
 
 def test_lee_weights_accept_repeated_unordered_scalars():
@@ -135,32 +149,6 @@ def test_lee_weights_accept_repeated_unordered_scalars():
         images = gray_image(ctx.trace_triples(chunk), "interleaved")
         assert expected == (images != 0).sum(axis=1).tolist()
     assert get_eval_context(1, "lprime").lee_weights(np.array([], dtype=np.int64)).shape == (0,)
-
-
-def standard_words(t1, t2, t3):
-    """Interleaved standard-coordinate words (rows, 3n) from nilpotent traces (rows, n)."""
-    words = np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
-    return words.astype(np.int8).reshape(len(t1), -1)
-
-
-def unpack_planes(table, length):
-    """The int8 words of a bit-sliced (rows, 2, words) table; checks padding and overlap."""
-    flags = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little").astype(np.int8)
-    assert not flags[..., length:].any()
-    assert not (flags[:, 0] & flags[:, 1]).any()
-    return flags[:, 0, :length] + 2 * flags[:, 1, :length]
-
-
-@pytest.mark.parametrize("kind", ("lprime", "units"))
-def test_linear_tables_equal_trace_mul_table_words_m3(kind):
-    ctx = get_eval_context(3, kind)
-    tm = ctx.field.trace_mul_table
-    t1, t2, t3 = tm[:, ctx.x1], tm[:, ctx.x2], tm[:, ctx.x3]
-    zero = np.zeros_like(t1)
-    wanted = (standard_words(t1, t2, t3), standard_words(zero, t1, t2), standard_words(zero, zero, t1))
-    for table, want in zip((ctx.w1, ctx.w2, ctx.w3), wanted):
-        assert table.dtype == np.uint64 and table.shape == (27, 2, -(-3 * ctx.n // 64))
-        assert np.array_equal(unpack_planes(table, 3 * ctx.n), want)
 
 
 def test_scalar_index_roundtrip():

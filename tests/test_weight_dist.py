@@ -176,6 +176,15 @@ else:
 
 
 @pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_reference_scalar_weights_equal_lee_weights_m3(kind):
+    spec = CodeSpec(m=3, set_kind=kind)
+    weights = scalar_weights(spec)
+    assert scalar_weights(spec) is weights and not weights.flags.writeable
+    sample = np.array(random.Random(5).sample(range(3**9), 200))
+    assert get_eval_context(3, kind).lee_weights(sample).tolist() == weights[sample].tolist()
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
 def test_orbit_histogram_equals_every_scalar_m3(kind):
     spec = CodeSpec(m=3, set_kind=kind)
     values, counts = np.unique(scalar_weights(spec), return_counts=True)
