@@ -189,8 +189,9 @@ def _access_payload(code: TernaryCode):
     acc = access_structure(code)
     return acc, {
         "secret_position": acc.secret_position,
-        "minimal_access_sets": [list(s) for s in acc.minimal_access_sets],
-        "dictators": list(acc.dictators),
+        # json writes tuples as arrays
+        "minimal_access_sets": acc.minimal_access_sets,
+        "dictators": acc.dictators,
         "convention": acc.convention,
     }
 
@@ -205,8 +206,11 @@ def cmd_sss(args) -> int:
         round_trip = "ok"
         for secret in (0, 1, 2):
             shares = massey_shares(code, secret, seed=args.seed)
-            picked = {p: shares[p] for p in group}
-            if reconstruct(picked, code) != secret:
+            try:
+                ok = reconstruct({p: shares[p] for p in group}, code) == secret
+            except ValueError:  # a refused minimal set is a failure, not bad input
+                ok = False
+            if not ok:
                 round_trip = "failed"
     if round_trip is not None:
         payload["round_trip"] = round_trip

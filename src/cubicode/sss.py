@@ -21,7 +21,10 @@ minimal codewords of C whose coordinate 0 is nonzero, which is what
 access_structure lists.  Both directions read one reduction of G cached
 on the code: dealing solves G x = 0 on its pivot columns, and
 reconstruction is one masked `linalg3.eliminate` of its bit-sliced rows
-and an inner product by popcounts.
+and an inner product by popcounts.  A party is one int object per code,
+code.parties[p - 1]: the share dicts are keyed on them and every minimal
+access set holds references to them, so an entry costs a tuple slot, not
+a new int.
 
 Parties in every minimal access set are dictators; because the Gray
 image repeats generator columns (the triple at a set position x
@@ -149,6 +152,11 @@ def minimal_codewords(code: TernaryCode) -> tuple[MinimalityReport, dict[int, np
 
 @dataclass(frozen=True)
 class AccessStructure:
+    """The minimal access sets, ordered by size then lexicographically, and
+    the dictators (parties in every set).  Every party in them is the
+    code's shared int object from code.parties.
+    """
+
     secret_position: int
     minimal_access_sets: tuple[tuple[int, ...], ...]
     dictators: tuple[int, ...]
@@ -160,7 +168,8 @@ def access_structure(code: TernaryCode) -> AccessStructure:
     _, _, minimal, support, column_point = _census(code)
     # distinct minimal classes have distinct supports (equal ones cover each other)
     rows = support[minimal & support[:, column_point[0]]][:, column_point[1:]]
-    parties = np.arange(1, code.length)
+    # an object array over the shared tuple gathers references, not new ints
+    parties = np.array(code.parties, dtype=object)
     sets = (tuple(parties[row].tolist()) for row in rows)
     ordered = tuple(sorted(sets, key=lambda s: (len(s), s)))
     dictators = ()
@@ -218,7 +227,7 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     x[red.pivots] = -(partial + red.rows[:, j] * x[j]) % 3
     if x[0] != secret or ((code.generators @ x) % 3).any():
         raise ArithmeticError("the sampled word is not a dual codeword carrying the secret")
-    return dict(zip(red.parties, x[1:].tolist()))
+    return dict(zip(code.parties, x[1:].tolist()))
 
 
 def _exact_ints(values, dtype) -> np.ndarray | None:

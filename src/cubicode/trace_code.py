@@ -183,20 +183,23 @@ class Reduction(NamedTuple):
 
     rows holds its rank nonzero rows R (int8), pivots their pivot columns
     P (an int64 array; R[:, P] is the identity), planes the rows R
-    bit-sliced by linalg3.pack, slot the first column j > 0 with
-    R[0, j] != 0 (None if there is none) and parties the positions
-    1 .. N-1.
+    bit-sliced by linalg3.pack and slot the first column j > 0 with
+    R[0, j] != 0 (None if there is none).
     """
 
     rows: np.ndarray
     pivots: np.ndarray
     planes: list[linalg3.Planes]
     slot: int | None
-    parties: tuple[int, ...]
 
 
 class TernaryCode:
-    """Ternary Gray image of a trace code, held as a generator matrix."""
+    """Ternary Gray image of a trace code, held as a generator matrix.
+
+    parties, the positions 1 .. N-1 of the secret sharing scheme, is one
+    tuple of ints per code, built on first use: the dealt shares and every
+    minimal access set hold references to its int objects, not copies.
+    """
 
     def __init__(self, spec: CodeSpec, generators: np.ndarray) -> None:
         self.spec = spec
@@ -235,10 +238,14 @@ class TernaryCode:
             rows = reduced[: len(pivots)]
             slots = (np.flatnonzero(rows[:1, 1:]) + 1).tolist()
             self._reduction = Reduction(
-                rows, np.array(pivots, dtype=np.int64), linalg3.pack(rows),
-                slots[0] if slots else None, tuple(range(1, self.length)),
+                rows, np.array(pivots, dtype=np.int64), linalg3.pack(rows), slots[0] if slots else None
             )
         return self._reduction
+
+    @functools.cached_property
+    def parties(self) -> tuple[int, ...]:
+        """The party positions 1 .. N-1."""
+        return tuple(range(1, self.length))
 
 
 def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:

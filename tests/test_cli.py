@@ -179,6 +179,23 @@ def test_sss_json(capsys):
     assert payload["round_trip"] == "ok"
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_sss_refused_round_trip_is_a_failure_not_bad_input(capsys, monkeypatch, output):
+    import cubicode.cli as cli_mod
+
+    def refuse(shares, code):
+        raise ValueError("the given party set cannot reconstruct the secret")
+
+    monkeypatch.setattr(cli_mod, "reconstruct", refuse)
+    code, out, err = run(capsys, "sss", "--m", "1", "--set", "lprime", "--seed", "3", "--output", output)
+    assert code == 1
+    assert err == ""
+    if output == "json":
+        assert json.loads(out)["round_trip"] == "failed"
+    else:
+        assert out.splitlines()[-1] == "share round trip: failed"
+
+
 def test_export_generators_deterministic(tmp_path, capsys):
     target = tmp_path / "gens.txt"
     argv = ["export", "--m", "1", "--set", "lprime", "--out", str(target)]

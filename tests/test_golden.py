@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the deterministic CLI outputs.
 
 Each entry is a command line and the SHA-256 of its stdout.  The digests
-were recorded before the scalar arithmetic moved to nilpotent indices;
+were recorded before the scalar arithmetic moved to nilpotent indices,
+and the sss ones before the access sets shared the code's party ints;
 a refactor that keeps them keeps every exported byte.
 """
 
@@ -34,6 +35,10 @@ DIGESTS = {
     "export --format access --m 1 --set units": "f12b2be134cfa56dfff5c8f44e374947333309eb41b76623f90dd33f9363be05",
     "export --format access --m 2 --set lprime": "6ec8123b97f7b67932996ed212a3e3c122cac032eb0d7cc7023c4b8b79781ae5",
     "export --format access --m 2 --set units": "f991413c9e58f76652ee6fbe653022149d0cadd940137ed2c07f701730036adc",
+    "sss --m 2 --set lprime --seed 3": "bac5c9c95a6d05c6d0e4e88bada8251e0c3466420178a4768f0bc25132d92f90",
+    "sss --m 2 --set lprime --seed 3 --output json": "91f5f63442f4ddee41802f981ac73aa1a5dc0af2976b723c51a3a1e4ef5eb98c",
+    "sss --m 2 --set units --seed 3": "87400a73c5c84976a890adbb123b5fea10c56d664c5774c743a0ede3d1278bf4",
+    "sss --m 2 --set units --seed 3 --output json": "e60b1742a41a0980024d0b719a27dd97fb709e14d15a5e882c6e0fb07c59cfc0",
 }
 
 

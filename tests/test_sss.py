@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,33 @@ def test_access_structure_m1_lprime():
         assert 0 not in group
         assert all(1 <= p <= 26 for p in group)
         assert set(acc.dictators) <= set(group)
+
+
+def test_build_code_leaves_the_party_tuple_unbuilt():
+    code = build_code(CodeSpec(m=2, set_kind="units"))
+    assert "parties" not in vars(code)
+    assert code.parties == tuple(range(1, code.length))
+    assert code.parties is code.parties
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_access_sets_hold_the_code_party_ints_m2(kind):
+    code = build_code(CodeSpec(m=2, set_kind=kind))
+    code.parties  # built before tracing: only the access structure is measured
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        acc = access_structure(code)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, acc.minimal_access_sets))
+    # a tuple slot is 8 bytes; a fresh int per entry would add 28 more
+    assert retained < 10 * entries
+    for group in (*acc.minimal_access_sets, acc.dictators):
+        assert all(p is code.parties[p - 1] for p in group)
+    shares = massey_shares(code, 1, seed=0)
+    assert all(p is code.parties[p - 1] for p in shares)
 
 
 def test_dictator_columns_are_proportional_to_the_secret_column():
