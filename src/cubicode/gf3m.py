@@ -256,29 +256,37 @@ class GF3m:
 
     @property
     def mul_table(self) -> np.ndarray:
-        """(q, q) int16 product table."""
+        """(q, q) int16 product table, read-only.
+
+        One gather from the log tables: exp[(log a + log b) mod (q - 1)],
+        with row 0 and column 0 left at 0.
+        """
         if "mul" not in self._tables:
             t = np.zeros((self.q, self.q), dtype=np.int16)
-            for a in range(1, self.q):
-                for b in range(1, self.q):
-                    t[a, b] = self.mul(a, b)
-            self._tables["mul"] = t
+            log = np.array(self._log[1:])
+            t[1:, 1:] = np.array(self._exp, dtype=np.int16)[(log[:, None] + log) % (self.q - 1)]
+            self._tables["mul"] = _read_only(t)
         return self._tables["mul"]
 
     @property
     def add_table(self) -> np.ndarray:
-        """(q, q) int16 sum table."""
+        """(q, q) int16 sum table, read-only.
+
+        Addition is digitwise mod 3, so the table is built one base-3
+        place at a time: the digits of a plus the digits of b, mod 3,
+        times the place value.
+        """
         if "add" not in self._tables:
             t = np.zeros((self.q, self.q), dtype=np.int16)
-            for a in range(self.q):
-                for b in range(self.q):
-                    t[a, b] = self.add(a, b)
-            self._tables["add"] = t
+            for i in range(self.m):
+                digit = np.arange(self.q, dtype=np.int16) // 3**i % 3
+                t += (digit[:, None] + digit) % 3 * 3**i
+            self._tables["add"] = _read_only(t)
         return self._tables["add"]
 
     @property
     def trace_table(self) -> np.ndarray:
-        """(q,) int8 absolute traces.
+        """(q,) int8 absolute traces, read-only.
 
         The trace is F_3-linear, so tr(x) is the digit vector of x dotted
         with the traces of the basis elements 3^i, mod 3.
@@ -286,15 +294,21 @@ class GF3m:
         if "trace" not in self._tables:
             digits = np.arange(self.q)[:, None] // 3 ** np.arange(self.m) % 3
             basis = np.array([self.trace(3**i) for i in range(self.m)])
-            self._tables["trace"] = (digits @ basis % 3).astype(np.int8)
+            self._tables["trace"] = _read_only((digits @ basis % 3).astype(np.int8))
         return self._tables["trace"]
 
     @property
     def trace_mul_table(self) -> np.ndarray:
-        """(q, q) int8 table of trace(x*y), the workhorse of bulk evaluation."""
+        """(q, q) int8 table of trace(x*y), read-only, the workhorse of bulk evaluation."""
         if "trace_mul" not in self._tables:
-            self._tables["trace_mul"] = self.trace_table[self.mul_table]
+            self._tables["trace_mul"] = _read_only(self.trace_table[self.mul_table])
         return self._tables["trace_mul"]
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """The fields are shared through get_field, so their cached tables must not change."""
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=None)

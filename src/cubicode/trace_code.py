@@ -109,51 +109,78 @@ def gray_positions(index: int, layout: str, n: int) -> tuple[int, int, int]:
     return (index, n + index, 2 * n + index)
 
 
+# The nilpotent traces before reduction, t1 < 3, t2 < 5 and t3 < 7, keyed
+# 35 t1 + 7 t2 + t3: the standard trits of each key and their count.
+_TRITS = np.array(
+    [((t1 - t2 + t3) % 3, (t2 + t3) % 3, t3 % 3) for t1 in range(3) for t2 in range(5) for t3 in range(7)],
+    dtype=np.int8,
+)
+_LEE = np.count_nonzero(_TRITS, axis=1).astype(np.int8)
+_TRITS.flags.writeable = False
+_LEE.flags.writeable = False
+
+
 class EvalContext:
     """Bulk evaluation of Tr(a x) over a fixed coordinate set.
 
     Scalars are indexed in nilpotent coordinates,
     index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2,
-    and the coordinates held as nilpotent triples (x1, x2, x3).  The ring
-    trace acts componentwise there, so with T the field's trace_mul_table
-    the nilpotent traces of a x, the ring product, are
+    and the coordinates held as nilpotent triples (x1, x2, x3), integers
+    in [0, q).  The ring trace acts componentwise there, so with T the
+    field's trace_mul_table the nilpotent traces of a x, the ring product,
+    are, before reduction mod 3,
 
-        t1 = T[a1, x1],
-        t2 = T[a1, x2] + T[a2, x1],
-        t3 = T[a1, x3] + T[a2, x2] + T[a3, x1],
+        t1 = T[a1, x1] < 3,
+        t2 = T[a1, x2] + T[a2, x1] < 5,
+        t3 = T[a1, x3] + T[a2, x2] + T[a3, x1] < 7,
 
     and Tr(a x) has standard coefficients (t1 - t2 + t3, t2 + t3, t3) mod 3.
+    With A, B, C the rows T[a1], T[a2], T[a3], the mixed-radix key
+
+        35 t1 + 7 t2 + t3 = (35 A + 7 B + C)[x1] + (7 A + B)[x2] + A[x3]
+
+    lies in [0, 105), so it is three int8 gathers per scalar, and a word
+    or a Lee weight is one lookup per coordinate in a 105-row table of
+    trits or of their nonzero counts.
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
         self.m = m
         self.field = get_field(m)
         self.q = self.field.q
-        arr = np.asarray(nilpotent_coords, dtype=np.int16).reshape(-1, 3)
-        self.x1, self.x2, self.x3 = arr.T.copy()
+        arr = np.asarray(nilpotent_coords).reshape(-1, 3)
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= self.q):
+            raise ValueError(f"nilpotent coordinates must be integers in [0, q) = [0, {self.q})")
+        self.x1, self.x2, self.x3 = arr.T.astype(np.intp, order="C")
         self.n = len(arr)
 
-    def trace_triples(self, scalars) -> np.ndarray:
-        """(len(scalars), n, 3) int8 words Tr(a x) for integer scalar indices in [0, q^3)."""
+    def _keys(self, scalars) -> np.ndarray:
+        """(len(scalars), n) int8 keys 35 t1 + 7 t2 + t3 for integer scalar indices in [0, q^3)."""
         q = self.q
         s = np.asarray(scalars).reshape(-1)
         if s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= q**3):
             raise ValueError(f"scalar indices must be integers in [0, 3^{3 * self.m}) = [0, {q**3})")
         s = s.astype(np.int64)
         T = self.field.trace_mul_table
-        r1, r2, r3 = T[s // (q * q)], T[s // q % q], T[s % q]
-        t1 = r1.take(self.x1, axis=1)
-        t2 = r1.take(self.x2, axis=1) + r2.take(self.x1, axis=1)
-        t3 = r1.take(self.x3, axis=1) + r2.take(self.x2, axis=1) + r3.take(self.x1, axis=1)
-        return np.stack([t1 - t2 + t3, t2 + t3, t3], axis=-1) % 3
+        A, B, C = T[s // (q * q)], T[s // q % q], T[s % q]
+        keys = (35 * A + 7 * B + C).take(self.x1, axis=1)
+        keys += (7 * A + B).take(self.x2, axis=1)
+        keys += A.take(self.x3, axis=1)
+        return keys
+
+    def trace_triples(self, scalars) -> np.ndarray:
+        """(len(scalars), n, 3) int8 words Tr(a x) for integer scalar indices in [0, q^3)."""
+        return _TRITS.take(self._keys(scalars), axis=0)
 
     def lee_weights(self, scalars) -> np.ndarray:
         """Lee weight of ev(a) per scalar index, as int64: the nonzero trits of trace_triples.
 
-        A call holds O(len(scalars) * |L|) words.  The library's largest are the
-        enumeration's 7 scalars at any m and the character sums' q^3 at m <= 2.
+        A call holds one int8 key per (scalar, coordinate) pair, and numpy's
+        intp copy of the keys for the lookup, never the words themselves.
+        The library's largest calls are the enumeration's 7 scalars at any
+        m and the character sums' q^3 at m <= 2.
         """
-        return np.count_nonzero(self.trace_triples(scalars), axis=(1, 2)).astype(np.int64)
+        return _LEE.take(self._keys(scalars)).sum(axis=1, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=None)

@@ -109,13 +109,22 @@ def test_quadratic_character_multiplicative():
 
 
 def test_numpy_tables_agree_with_scalar_ops():
-    F = get_field(2)
-    for x in F.elements():
-        for y in F.elements():
-            assert int(F.mul_table[x, y]) == F.mul(x, y)
-            assert int(F.add_table[x, y]) == F.add(x, y)
-            assert int(F.trace_mul_table[x, y]) == F.trace(F.mul(x, y))
-        assert int(F.trace_table[x]) == F.trace(x)
+    for m in range(1, 5):
+        F = get_field(m)
+        for x in F.elements():
+            for y in F.elements():
+                assert int(F.mul_table[x, y]) == F.mul(x, y)
+                assert int(F.add_table[x, y]) == F.add(x, y)
+                assert int(F.trace_mul_table[x, y]) == F.trace(F.mul(x, y))
+            assert int(F.trace_table[x]) == F.trace(x)
+
+
+@pytest.mark.parametrize("name", ("mul_table", "add_table", "trace_table", "trace_mul_table"))
+def test_field_tables_are_read_only(name):
+    table = getattr(get_field(2), name)
+    with pytest.raises(ValueError, match="read-only"):
+        table[1] = table[1]  # a writable table would keep its values
+    assert getattr(get_field(2), name) is table
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -135,6 +135,46 @@ def test_scalar_indices_must_be_integers_in_range(bad):
     assert ctx.lee_weights([]).shape == (0,)
 
 
+def test_key_tables_equal_the_mod_3_formula():
+    assert trace_code._TRITS.shape == (105, 3) and trace_code._LEE.shape == (105,)
+    for key in range(105):
+        t1, t2, t3 = key // 35, key // 7 % 5, key % 7
+        trits = [(t1 - t2 + t3) % 3, (t2 + t3) % 3, t3 % 3]
+        assert trace_code._TRITS[key].tolist() == trits
+        assert trace_code._LEE[key] == sum(t != 0 for t in trits)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2, 3) for kind in ("lprime", "units")], ids=str)
+def test_lee_weights_count_the_nonzero_trits_of_trace_triples(spec):
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    scalars = np.random.default_rng(spec.m).integers(0, ctx.q**3, 20)
+    for chunk in (scalars, scalars[:0]):
+        words, weights = ctx.trace_triples(chunk), ctx.lee_weights(chunk)
+        assert words.dtype == np.int8 and words.shape == (len(chunk), ctx.n, 3)
+        assert weights.dtype == np.int64 and weights.shape == (len(chunk),)
+        assert weights.tolist() == np.count_nonzero(words, axis=(1, 2)).tolist()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    (
+        # take would wrap -1 to 2: these would pass as the unit basis
+        [(-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+        [(0, 0, 3)],
+        [(1.7, 0, 0)],
+        [(True, False, False)],
+        np.array([(1, 0, 0)], dtype=object),
+        np.array([(0, 2**63, 0)], dtype=np.uint64),
+    ),
+    ids=("negative", "q", "float", "bool", "object", "uint64"),
+)
+def test_coordinates_must_be_integers_in_range(bad):
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        EvalContext(1, bad)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        check_injectivity(CodeSpec(m=1), bad)
+
+
 def test_lee_weights_accept_repeated_unordered_scalars():
     for spec in ALL_SPECS_M2 + [CodeSpec(m=3, set_kind="lprime")]:
         ctx = get_eval_context(spec.m, spec.set_kind)
@@ -331,7 +371,7 @@ def test_eval_context_accepts_explicit_coordinates():
     ring = get_ring(1)
     coords = [ring.to_nilpotent(ring.one), ring.to_nilpotent(ring.u)]
     ctx = EvalContext(1, coords)
-    assert ctx.n == 2
+    assert ctx.n == 2 and EvalContext(1, []).n == 0
     row = ctx.trace_triples(np.array([index_of_scalar(1, ring.u)]))[0]
     # Tr is the identity at m=1: ev(u) = (u, u^2)
     assert tuple(row[0]) == ring.u and tuple(row[1]) == ring.u_squared
