@@ -193,12 +193,22 @@ def code_length(m: int, kind: str) -> int:
 
 @functools.lru_cache(maxsize=None)
 def defining_set(m: int, kind: str) -> DefiningSet:
+    """The defining set L of the kind at degree m, materialized in canonical order.
+
+    The (|X1|, q, q, 3) grid of nilpotent triples is written by
+    broadcasting into one read-only (|L|, 3) int64 array.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown defining set kind {kind!r}")
     require_scope("defining set", m)
     F = get_field(m)
-    axes = np.meshgrid(np.array(allowed_x1(F, kind)), np.arange(F.q), np.arange(F.q), indexing="ij")
-    nil = np.stack(axes, axis=-1).reshape(-1, 3).astype(np.int64)
+    q = F.q
+    x1 = np.array(allowed_x1(F, kind), dtype=np.int64)
+    nil = np.empty((len(x1) * q * q, 3), dtype=np.int64)
+    grid = nil.reshape(len(x1), q, q, 3)
+    grid[..., 0] = x1[:, None, None]
+    grid[..., 1] = np.arange(q)[:, None]
+    grid[..., 2] = np.arange(q)
     nil.flags.writeable = False
     if len(nil) != defining_set_size(m, kind):
         raise ArithmeticError(f"materialized {len(nil)} elements, not |L| for m={m} {kind}")

@@ -20,7 +20,10 @@ positions through gray_positions.
 Scalars are nilpotent indices and coordinates nilpotent triples.
 EvalContext is the one evaluator of ev(a), straight from the field's
 trace_mul_table; generators, enumeration, character sums and the
-structural checks all go through it.  evaluate, the per-coordinate ring
+structural checks all go through it.  It groups the coordinates by
+their leading pair (x1, x2): x3 enters Tr(a x) only through tr(a1 x3),
+which takes three values, so a Lee weight is counted per pair and
+trace value, not per coordinate.  evaluate, the per-coordinate ring
 arithmetic on standard triples, is kept as the independent reference the
 tests compare EvalContext against.
 
@@ -118,6 +121,14 @@ _TRITS = np.array(
 _LEE = np.count_nonzero(_TRITS, axis=1).astype(np.int8)
 _TRITS.flags.writeable = False
 _LEE.flags.writeable = False
+# _LEE_FROM[u, r] = _LEE[u + r]: a pair key u <= 102 plus the last trace term r < 3.
+_LEE_FROM = np.lib.stride_tricks.sliding_window_view(_LEE, 3)
+
+
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in [0, size), ascending, and the rank of each value among them."""
+    present = np.bincount(values, minlength=size) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
 
 
 class EvalContext:
@@ -139,48 +150,82 @@ class EvalContext:
 
         35 t1 + 7 t2 + t3 = (35 A + 7 B + C)[x1] + (7 A + B)[x2] + A[x3]
 
-    lies in [0, 105), so it is three int8 gathers per scalar, and a word
-    or a Lee weight is one lookup per coordinate in a 105-row table of
-    trits or of their nonzero counts.
+    lies in [0, 105), and a word is one lookup per coordinate in a
+    105-row table of trits, _TRITS; _LEE counts their nonzero entries.
+    Only the last term depends on x3, and only through a1, so the
+    coordinates are grouped by their leading pair (x1, x2): p1 and p2 hold
+    the P distinct pairs present, pair and x3 each coordinate's pair index
+    and last coordinate, and multiplicity the int64 (P, q) matrix W with
+    W[p, v] the number of coordinates (p1[p], p2[p], v).  A defining set
+    has P = |X1| q = |L| / q and W all ones.  Every array is an owned,
+    read-only copy: the context is shared through get_eval_context.
     """
 
     def __init__(self, m: int, nilpotent_coords) -> None:
         self.m = m
         self.field = get_field(m)
-        self.q = self.field.q
+        self.q = q = self.field.q
         arr = np.asarray(nilpotent_coords).reshape(-1, 3)
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= self.q):
-            raise ValueError(f"nilpotent coordinates must be integers in [0, q) = [0, {self.q})")
-        self.x1, self.x2, self.x3 = arr.T.astype(np.intp, order="C")
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q):
+            raise ValueError(f"nilpotent coordinates must be integers in [0, q) = [0, {q})")
+        arr = arr.astype(np.intp, copy=False)  # np.asarray([]) is float64
         self.n = len(arr)
+        heads = arr[:, 0] * q
+        heads += arr[:, 1]
+        pairs, self.pair = _distinct(heads, q * q)
+        self.p1, self.p2 = pairs // q, pairs % q
+        self.x3 = arr[:, 2].copy()
+        cells = np.multiply(self.pair, q, out=heads)
+        cells += self.x3
+        multiplicity = np.bincount(cells, minlength=len(pairs) * q).astype(np.int64, copy=False)
+        for array in (self.p1, self.p2, self.pair, self.x3, multiplicity):
+            array.flags.writeable = False
+        self.multiplicity = multiplicity.reshape(-1, q)
 
-    def _keys(self, scalars) -> np.ndarray:
-        """(len(scalars), n) int8 keys 35 t1 + 7 t2 + t3 for integer scalar indices in [0, q^3)."""
+    def _pair_keys(self, scalars) -> tuple[np.ndarray, np.ndarray]:
+        """(U, a1) for integer scalar indices in [0, q^3).
+
+        U is the (len(scalars), P) int8 key of each leading pair,
+        (35 A + 7 B + C)[p1] + (7 A + B)[p2] = 35 t1 + 7 t2 + t3 - A[x3]
+        (at most 102), and a1 the int64 first nilpotent coordinate of each
+        scalar, which fixes A = T[a1].
+        """
         q = self.q
         s = np.asarray(scalars).reshape(-1)
         if s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= q**3):
             raise ValueError(f"scalar indices must be integers in [0, 3^{3 * self.m}) = [0, {q**3})")
         s = s.astype(np.int64)
+        a1 = s // (q * q)
         T = self.field.trace_mul_table
-        A, B, C = T[s // (q * q)], T[s // q % q], T[s % q]
-        keys = (35 * A + 7 * B + C).take(self.x1, axis=1)
-        keys += (7 * A + B).take(self.x2, axis=1)
-        keys += A.take(self.x3, axis=1)
-        return keys
+        A, B, C = T[a1], T[s // q % q], T[s % q]
+        keys = (35 * A + 7 * B + C).take(self.p1, axis=1)
+        keys += (7 * A + B).take(self.p2, axis=1)
+        return keys, a1
 
     def trace_triples(self, scalars) -> np.ndarray:
         """(len(scalars), n, 3) int8 words Tr(a x) for integer scalar indices in [0, q^3)."""
-        return _TRITS.take(self._keys(scalars), axis=0)
+        U, a1 = self._pair_keys(scalars)
+        keys = U.take(self.pair, axis=1)
+        keys += self.field.trace_mul_table[a1].take(self.x3, axis=1)
+        return _TRITS.take(keys, axis=0)
 
     def lee_weights(self, scalars) -> np.ndarray:
         """Lee weight of ev(a) per scalar index, as int64: the nonzero trits of trace_triples.
 
-        A call holds one int8 key per (scalar, coordinate) pair, and numpy's
-        intp copy of the keys for the lookup, never the words themselves.
-        The library's largest calls are the enumeration's 7 scalars at any
-        m and the character sums' q^3 at m <= 2.
+        Per scalar s, sum over pairs p and r < 3 of _LEE[U[s, p] + r] times
+        N[a1_s, p, r] = sum_v W[p, v] [T[a1_s, v] = r], the number of
+        coordinates of pair p whose last trace term is r.  N is one exact
+        int64 matmul of W with the indicators of T[a1] over the D distinct
+        a1 among the scalars, three for the enumeration's representatives.
+        With S scalars and P pairs (|L| / q for a defining set) a call
+        holds O(S P) int8 keys and int64 products and does O(S P + D P q)
+        work; no key per coordinate is formed.
         """
-        return _LEE.take(self._keys(scalars)).sum(axis=1, dtype=np.int64)
+        U, a1 = self._pair_keys(scalars)
+        firsts, inverse = _distinct(a1, self.q)
+        is_r = self.field.trace_mul_table[firsts][:, :, None] == np.arange(3)
+        counts = self.multiplicity @ is_r.astype(np.int64)  # (distinct a1, P, 3)
+        return (_LEE_FROM.take(U, axis=0) * counts[inverse]).sum(axis=(1, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,16 +364,16 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     """
     F = get_field(spec.m)
     q = F.q
-    ctx = get_eval_context(spec.m, spec.set_kind)
+    x1, x2, x3 = defining_set(spec.m, spec.set_kind).nilpotent.T
     x1_values = list(allowed_x1(F, spec.set_kind))
     x1_rank = np.full(q, -1, dtype=np.int64)
     x1_rank[x1_values] = np.arange(len(x1_values))
     MUL = F.mul_table
     ADD = F.add_table
     v1, v2, v3 = v
-    p1 = MUL[v1, ctx.x1]
-    p2 = ADD[MUL[v1, ctx.x2], MUL[v2, ctx.x1]]
-    p3 = ADD[ADD[MUL[v1, ctx.x3], MUL[v2, ctx.x2]], MUL[v3, ctx.x1]]
+    p1 = MUL[v1, x1]
+    p2 = ADD[MUL[v1, x2], MUL[v2, x1]]
+    p3 = ADD[ADD[MUL[v1, x3], MUL[v2, x2]], MUL[v3, x1]]
     r1 = x1_rank[p1]
     if (r1 < 0).any():
         raise ValueError("multiplication by v does not stabilize the defining set")

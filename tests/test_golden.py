@@ -31,6 +31,12 @@ DIGESTS = {
     "weights --method charsum --output csv --m 1 --set units": "d9776956952c0de1bdd3af4c57df94165cd845d0313764cf25612c4a1244ded9",
     "weights --method charsum --output csv --m 2 --set lprime": "58fd22f3b5f279627e6f226c1040672a2990435fd8fa4c84c323f725e13e64eb",
     "weights --method charsum --output csv --m 2 --set units": "d22aa014889c0313c5f1c37154ae3b93001dba9498dbfc83c4f92a72312e7f97",
+    "weights --method enumerate --output csv --m 1 --set lprime": "b9705ca4c07001c68a413660278e887e18c61e19e4e08958566f3359688b07b9",
+    "weights --method enumerate --output csv --m 1 --set units": "d9776956952c0de1bdd3af4c57df94165cd845d0313764cf25612c4a1244ded9",
+    "weights --method enumerate --output csv --m 2 --set lprime": "58fd22f3b5f279627e6f226c1040672a2990435fd8fa4c84c323f725e13e64eb",
+    "weights --method enumerate --output csv --m 2 --set units": "d22aa014889c0313c5f1c37154ae3b93001dba9498dbfc83c4f92a72312e7f97",
+    "weights --method enumerate --output csv --m 3 --set lprime": "18886f0b3796b8071466a26e2360ec04d21cb216af919efef02e112abe1f6132",
+    "weights --method enumerate --output csv --m 3 --set units": "182f67a31e6f8296c64118a58988176f18f542b7cf0b38b4d4c7f601331b7d3b",
     "export --format access --m 1 --set lprime": "1d99b47726e94060bd5388bca24a1af546bfc30c9b3b7c3ebeb99c1ee5a3e927",
     "export --format access --m 1 --set units": "f12b2be134cfa56dfff5c8f44e374947333309eb41b76623f90dd33f9363be05",
     "export --format access --m 2 --set lprime": "6ec8123b97f7b67932996ed212a3e3c122cac032eb0d7cc7023c4b8b79781ae5",

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cubicode import linalg3, trace_code
 from cubicode.bounds import dual_weight_search
-from cubicode.chain_ring import ChainRing, defining_set, defining_set_generators, get_ring
+from cubicode.chain_ring import ChainRing, allowed_x1, defining_set, defining_set_generators, get_ring
 from cubicode.trace_code import (
     CodeSpec,
     EvalContext,
@@ -20,7 +21,7 @@ from cubicode.trace_code import (
     gray_image,
     ring_basis,
 )
-from cubicode.weight_dist import codeword_char_sum
+from cubicode.weight_dist import codeword_char_sum, enumerate_distribution
 from ring_reference import index_of_scalar, scalar_from_index, standard_elements
 
 ALL_SPECS_M2 = [
@@ -144,15 +145,84 @@ def test_key_tables_equal_the_mod_3_formula():
         assert trace_code._LEE[key] == sum(t != 0 for t in trits)
 
 
+def random_multiset(m: int, seed: int) -> np.ndarray:
+    """Nilpotent triples over a few leading pairs, each with a partial x3 fiber and repeats."""
+    q = 3**m
+    rng = np.random.default_rng(seed)
+    heads = rng.integers(0, q, (int(rng.integers(1, 6)), 2))
+    coords = np.column_stack([heads[rng.integers(0, len(heads), 3 * q)], rng.integers(0, q, 3 * q)])
+    return np.concatenate([coords, coords[: q // 2 + 1]])
+
+
 @pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2, 3) for kind in ("lprime", "units")], ids=str)
 def test_lee_weights_count_the_nonzero_trits_of_trace_triples(spec):
+    scalars = np.random.default_rng(spec.m).integers(0, 3 ** (3 * spec.m), 20)
+    for ctx in (get_eval_context(spec.m, spec.set_kind), EvalContext(spec.m, random_multiset(spec.m, 5))):
+        for chunk in (scalars, scalars[:0]):
+            words, weights = ctx.trace_triples(chunk), ctx.lee_weights(chunk)
+            assert words.dtype == np.int8 and words.shape == (len(chunk), ctx.n, 3)
+            assert weights.dtype == np.int64 and weights.shape == (len(chunk),)
+            assert weights.tolist() == np.count_nonzero(words, axis=(1, 2)).tolist()
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2, 3) for kind in ("lprime", "units")], ids=str)
+def test_defining_set_contexts_group_whole_fibers(spec):
     ctx = get_eval_context(spec.m, spec.set_kind)
-    scalars = np.random.default_rng(spec.m).integers(0, ctx.q**3, 20)
-    for chunk in (scalars, scalars[:0]):
-        words, weights = ctx.trace_triples(chunk), ctx.lee_weights(chunk)
-        assert words.dtype == np.int8 and words.shape == (len(chunk), ctx.n, 3)
-        assert weights.dtype == np.int64 and weights.shape == (len(chunk),)
-        assert weights.tolist() == np.count_nonzero(words, axis=(1, 2)).tolist()
+    nil = defining_set(spec.m, spec.set_kind).nilpotent
+    q = ctx.q
+    pairs = len(allowed_x1(ctx.field, spec.set_kind)) * q
+    assert ctx.multiplicity.dtype == np.int64 and ctx.multiplicity.shape == (pairs, q)
+    assert (ctx.multiplicity == 1).all() and pairs * q == ctx.n
+    assert np.array_equal(np.stack([ctx.p1[ctx.pair], ctx.p2[ctx.pair], ctx.x3], axis=1), nil)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_pair_grouping_counts_repeated_coordinates(m):
+    q = 3**m
+    for seed in range(6):
+        coords = random_multiset(m, seed)
+        ctx = EvalContext(m, coords)
+        counts = Counter(map(tuple, coords.tolist()))
+        assert len(set(zip(ctx.p1.tolist(), ctx.p2.tolist()))) == len(ctx.p1) == len({c[:2] for c in counts})
+        grouped = {
+            (p1, p2, v): int(ctx.multiplicity[p, v])
+            for p, (p1, p2) in enumerate(zip(ctx.p1.tolist(), ctx.p2.tolist()))
+            for v in range(q)
+            if ctx.multiplicity[p, v]
+        }
+        assert grouped == counts and ctx.multiplicity.sum() == ctx.n == len(coords)
+        # some fiber is partial: the coordinates are not a union of whole fibers
+        assert (ctx.multiplicity == 0).any()
+        assert np.array_equal(np.stack([ctx.p1[ctx.pair], ctx.p2[ctx.pair], ctx.x3], axis=1), coords)
+
+
+def eval_context_arrays(ctx: EvalContext) -> dict[str, np.ndarray]:
+    return {name: value for name, value in vars(ctx).items() if isinstance(value, np.ndarray)}
+
+
+def test_eval_context_arrays_are_read_only():
+    G = build_code(CodeSpec(1, "units")).generators
+    for ctx in (get_eval_context(1, "units"), EvalContext(2, random_multiset(2, 1))):
+        arrays = eval_context_arrays(ctx)
+        for array in arrays.values():
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        assert {"p1", "p2", "pair", "x3", "multiplicity"} <= set(arrays)
+    # the cached context behind every units m = 1 code is unchanged
+    assert np.array_equal(build_code(CodeSpec(1, "units")).generators, G)
+    assert enumerate_distribution(CodeSpec(1, "units")).entries == {0: 1, 36: 24, 54: 2}
+
+
+def test_eval_context_owns_its_coordinates():
+    coords = random_multiset(2, 3)
+    ctx = EvalContext(2, coords)
+    scalars = np.arange(3**6)
+    words, weights = ctx.trace_triples(scalars), ctx.lee_weights(scalars)
+    for array in eval_context_arrays(ctx).values():
+        assert not np.shares_memory(array, coords)
+    coords[:] = coords[::-1] // 2
+    assert np.array_equal(ctx.trace_triples(scalars), words)
+    assert np.array_equal(ctx.lee_weights(scalars), weights)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 
 import cubicode
 from cubicode import weight_dist
-from cubicode.chain_ring import code_length, defining_set, get_ring
+from cubicode.chain_ring import allowed_x1, code_length, defining_set, get_ring
 from cubicode.gf3m import get_field
 from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
 from cubicode.weight_dist import (
@@ -209,6 +209,22 @@ def test_lprime_multiple_of_four_refused_without_extrapolation():
     assert len(dist.entries) == 4
     # units are proven for every m: no refusal, no note
     assert formula_distribution(CodeSpec(m=4, set_kind="units")).note is None
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_orbit_weights_equal_the_closed_form_m4(kind):
+    # brute force outside the scope cap: L = X1 x F x F built here, since defining_set(4) is refused
+    with pytest.raises(ValueError):
+        defining_set(4, kind)
+    F = get_field(4)
+    q = F.q
+    x1 = np.array(allowed_x1(F, kind))
+    coords = np.stack(np.meshgrid(x1, np.arange(q), np.arange(q), indexing="ij"), axis=-1).reshape(-1, 3)
+    reps, sizes = scalar_orbits(4, kind)
+    counts: dict[int, int] = {}
+    for w, size in zip(EvalContext(4, coords).lee_weights(reps).tolist(), sizes):
+        counts[w] = counts.get(w, 0) + size
+    assert counts == formula_distribution(CodeSpec(4, kind), extrapolate=True).entries
 
 
 def test_enumeration_guard():
