@@ -45,9 +45,11 @@ SCOPE_MAX_M = {
     # formula and bounds: above this some exact output has more digits than
     # Python's default int-to-str limit (4300); units weights 2 * 3^{3m} do at m = 3004
     "closed form": 3003,
-    # all 3^{3m} codewords; the minimality census, which never builds the table,
-    # stays under the same cap: its class x class relation at m = 3 is 9841^2
+    # all 3^{3m} codewords
     "codeword table": 2,
+    # the (classes, points) bool support matrix, which builds no codeword
+    # table: at m = 3 units it is 9841 x 9477, about 93 MB
+    "minimality census": 2,
 }
 
 

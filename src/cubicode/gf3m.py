@@ -8,7 +8,8 @@ same digit encoding, so element codes, orderings and exports are
 reproducible across runs.
 
 Multiplication, inversion and the quadratic character run over
-discrete-log tables for a fixed primitive element.  Supported degrees
+discrete-log tables for a fixed primitive element, the smallest element
+code whose F_3 multiplication matrix has order 3^m - 1.  Supported degrees
 are 1..8 (fields up to 6561 elements); everything is exact integer
 arithmetic.
 """
@@ -16,10 +17,12 @@ arithmetic.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
 MAX_DEGREE = 8
+_CHUNK = 8  # primitive-element candidates tested per batch of matrix powers
 
 
 # ---------------------------------------------------------------------------
@@ -31,15 +34,6 @@ def _digits(value: int, length: int) -> list[int]:
     for _ in range(length):
         out.append(value % 3)
         value //= 3
-    return out
-
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % 3
     return out
 
 
@@ -97,6 +91,20 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
+def _integer(x) -> int | None:
+    """x as a Python int, or None for bools and non-integers.
+
+    operator.index accepts Python and numpy integers and refuses floats and
+    numpy bools; Python bools are ints to it, so they are refused first.
+    """
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -124,53 +132,72 @@ class GF3m:
 
     # -- encoding ------------------------------------------------------------
 
-    def _check(self, x: int) -> None:
-        if not 0 <= x < self.q:
-            raise ValueError(f"{x} is not an element code of F_(3^{self.m})")
+    def _check(self, x: int) -> int:
+        """x as a Python int; ValueError unless it is an integer in [0, q)."""
+        code = x if type(x) is int else _integer(x)
+        if code is None or not 0 <= code < self.q:
+            raise ValueError(f"{x!r} is not an element code of F_(3^{self.m})")
+        return code
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coefficients of x, constant term first."""
-        self._check(x)
-        return tuple(_digits(x, self.m))
+        return tuple(_digits(self._check(x), self.m))
 
     def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) != self.m or any(c not in (0, 1, 2) for c in coeffs):
-            raise ValueError(f"need {self.m} coefficients in {{0, 1, 2}}")
-        return sum(c * 3**i for i, c in enumerate(coeffs))
+        digits = [_integer(c) for c in coeffs]
+        if len(digits) != self.m or any(c not in (0, 1, 2) for c in digits):
+            raise ValueError(f"need {self.m} integer coefficients in {{0, 1, 2}}")
+        return sum(c * 3**i for i, c in enumerate(digits))
 
     def elements(self) -> range:
         """All elements in canonical order (0, 1, 2, x, x+1, ...)."""
         return range(self.q)
 
-    # -- raw polynomial arithmetic (used to bootstrap the log tables) --------
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        f = _poly_mul(_digits(x, self.m), _digits(y, self.m))
-        r = _poly_rem(f, list(self.modulus))
-        return sum(c * 3**i for i, c in enumerate(r))
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return out
+    # -- log tables ------------------------------------------------------------
 
     def _build_log_tables(self):
-        n = self.q - 1
-        primitive = None
-        for g in range(2, self.q):
-            if all(self._pow_raw(g, n // p) != 1 for p in _prime_factors(n)):
-                primitive = g
+        """exp and log tables of the smallest primitive element g.
+
+        x -> g x is F_3-linear.  Its matrix has the digits of g x^i as
+        column i, and each column is the one before times the companion
+        matrix of the modulus.  The matrix of g^e is that matrix to the
+        power e, and its column 0 holds the digits of g^e.  g is primitive
+        iff g^((q-1)/p) != 1 for every prime p | q - 1; square-and-multiply
+        mod 3 decides that for _CHUNK candidates at a time.  exp and log
+        then walk the powers of g through the tabulated map.
+        """
+        m, n = self.m, self.q - 1
+        place = 3 ** np.arange(m)
+        # column i of the companion matrix holds the digits of x x^i: a shift,
+        # and x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)) for the modulus f
+        companion = np.array(
+            [[int(r == i + 1) for i in range(m - 1)] + [-f % 3] for r, f in enumerate(self.modulus[:m])]
+        )
+        exponents = [n // p for p in sorted(_prime_factors(n))]
+        for lo in range(2, self.q, _CHUNK):
+            candidates = np.arange(lo, min(lo + _CHUNK, self.q))
+            column = candidates[:, None] // place % 3
+            matrices = np.empty((len(candidates), m, m), dtype=np.int64)
+            for i in range(m):
+                matrices[:, :, i] = column
+                column = column @ companion.T % 3
+            square, powers = matrices, [None] * len(exponents)
+            for bit in range(max(exponents).bit_length()):
+                if bit:
+                    square = square @ square % 3
+                for i, e in enumerate(exponents):
+                    if e >> bit & 1:
+                        powers[i] = square if powers[i] is None else powers[i] @ square % 3
+            # column 0 of the matrix of h holds the digits of h
+            values = zip(*((power[:, :, 0] @ place).tolist() for power in powers))
+            primitive = [b for b, row in enumerate(values) if 1 not in row]
+            if primitive:
                 break
-        if primitive is None:
+        else:
             raise RuntimeError("no primitive element found")  # unreachable
-        # x -> primitive * x is F_3-linear: tabulate it from the basis images
-        place = 3 ** np.arange(self.m)
-        images = [_digits(self._mul_raw(3**i, primitive), self.m) for i in range(self.m)]
-        times = ((np.arange(self.q)[:, None] // place % 3) @ images % 3 @ place).tolist()
+        b = primitive[0]
+        # row i of the transposed matrix holds the digits of g 3^i
+        times = ((np.arange(self.q)[:, None] // place % 3) @ matrices[b].T % 3 @ place).tolist()
         exp = [1] * n
         log = [-1] * self.q
         val = 1
@@ -178,14 +205,13 @@ class GF3m:
             exp[i] = val
             log[val] = i
             val = times[val]
-        self.generator = primitive
+        self.generator = int(candidates[b])
         return exp, log
 
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
+        x, y = self._check(x), self._check(y)
         z, shift = 0, 1
         for _ in range(self.m):
             z += ((x % 3 + y % 3) % 3) * shift
@@ -195,7 +221,7 @@ class GF3m:
         return z
 
     def neg(self, x: int) -> int:
-        self._check(x)
+        x = self._check(x)
         z, shift = 0, 1
         for _ in range(self.m):
             z += (-(x % 3) % 3) * shift
@@ -207,20 +233,19 @@ class GF3m:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
+        x, y = self._check(x), self._check(y)
         if x == 0 or y == 0:
             return 0
         return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
 
     def inv(self, x: int) -> int:
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self._exp[(-self._log[x]) % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
@@ -240,7 +265,7 @@ class GF3m:
 
     def quadratic_character(self, x: int) -> int:
         """+1 on nonzero squares, -1 on nonsquares.  Not defined at 0."""
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             raise ValueError("the quadratic character is not defined at 0")
         return 1 if self._log[x] % 2 == 0 else -1

@@ -9,7 +9,10 @@ invariant.  Minimality is a property of the projective class {c, 2c},
 so the search runs over class representatives.  Supports depend only on
 which projective points of PG(k-1, 3) the columns of G are, so the
 census runs on one boolean (classes, points) matrix, never on the
-codeword table.
+codeword table.  Nor does it test all pairs of classes: a class can only
+be covered by one of smaller weight or by one with the same support, so
+equal rows are found by sorting and each weight level is tested against
+the levels below it.
 
 The scheme is Massey's, built on the dual code C^perp with distinguished
 coordinate 0: the dealer draws a uniform x in C^perp with x_0 = secret
@@ -77,7 +80,7 @@ def _class_representatives(k: int) -> np.ndarray:
     return msgs[msgs <= partners]
 
 
-_BLOCK = 128  # rows per block of the all-pairs covering test
+_BLOCK = 128  # rows per block of the covering test
 
 
 def _census(code: TernaryCode):
@@ -88,36 +91,63 @@ def _census(code: TernaryCode):
     column is point 0, in no support).  With S[y, p] = (y . p != 0) over
     the representatives y and the distinct points p, the supports are
     S[:, point], and supp_j lies in supp_i iff it does on the points.
-    The screen reads the row weights of S times the point multiplicities.
+    The weights are the rows of S times the point multiplicities; they
+    feed the screen and split the classes into levels.  A point in a
+    support has multiplicity at least 1, so supp_j lies strictly inside
+    supp_i only if wt_j < wt_i.  Class i is therefore non-minimal iff
+    another class has its support (an equal packed row at the same
+    weight) or some class of a smaller weight lies inside it, and each
+    level is tested only against the levels below it.
 
     Returns the report, the representatives, the mask of minimal classes,
     S and the point index of each column.
     """
-    require_scope("codeword table", code.spec.m)
-    place = 3 ** np.arange(code.dimension)
+    require_scope("minimality census", code.spec.m)
+    k = code.dimension
+    place = 3 ** np.arange(k)
     G = code.generators.astype(np.int64)
     lead = G[np.argmax(G != 0, axis=0), np.arange(code.length)]
-    points, column_point = np.unique(place @ (G * lead % 3), return_inverse=True)
-    reps = _class_representatives(code.dimension)
-    y = (reps[:, None] // place % 3).astype(np.int8)
-    p = (points // place[:, None] % 3).astype(np.int8)
-    # y . p one digit at a time, in int8: every partial sum is at most 4k
-    support = sum(y[:, i, None] * p[i] for i in range(code.dimension)) % 3 != 0
+    labels = place @ (G * lead % 3)
+    # the distinct labels ascending, each column's rank among them, and
+    # each point's multiplicity
+    count = np.bincount(labels, minlength=3**k)
+    present = count != 0
+    points = np.flatnonzero(present)
+    column_point = (np.cumsum(present) - 1)[labels]
+    reps = _class_representatives(k)
+    y = (reps[:, None] // place % 3).astype(np.float32)
+    p = (points // place[:, None] % 3).astype(np.float32)
+    # every entry of y @ p is an integer at most 4k (below 256 for any k whose
+    # 3^k classes fit in memory), so float32 and uint8 hold it exactly; 171 is
+    # the inverse of 3 mod 256, which maps the multiples of 3 below 256 onto
+    # 0..85 and every other byte above 85
+    support = (y @ p).astype(np.uint8) * np.uint8(171) > 85
+    # exact in float32 while the length N stays below 2^24
+    weight = (support.astype(np.float32) @ count[points].astype(np.float32)).astype(np.int64)
     packed = np.packbits(support, axis=1)
-    # words[w, i] is the w-th uint64 word of row i
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
-    # row j lies inside row i iff words_j & ~words_i is 0 in every word; row i
-    # covers itself, so it is non-minimal iff it covers some other row,
-    # including a distinct class with the same support
-    covered = np.empty(len(reps), dtype=np.int64)
-    for start in range(0, len(reps), _BLOCK):
-        outside = ~words[:, start : start + _BLOCK, None]
-        spill = words[0] & outside[0]
-        for word, out in zip(words[1:], outside[1:]):
-            spill |= word & out
-        covered[start : start + _BLOCK] = np.count_nonzero(spill == 0, axis=1)
-    minimal = covered == 1
-    holds = ab_condition((support @ np.bincount(column_point)).tolist())
+    # words[w, i] is the w-th uint64 word of row i; after the sort the
+    # weights ascend and equal rows are neighbours
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T
+    order = np.lexsort((*words, weight))
+    words = words[:, order]
+    weight = weight[order]
+    same = (words[:, 1:] == words[:, :-1]).all(axis=0)
+    covered = np.zeros(len(reps), dtype=bool)
+    covered[1:] |= same
+    covered[:-1] |= same
+    # row j lies inside row i iff words_j & ~words_i is 0 in every word
+    edges = [*(np.flatnonzero(weight[1:] != weight[:-1]) + 1).tolist(), len(reps)]
+    for lo, hi in zip(edges, edges[1:]):
+        below = words[:, :lo]
+        for start in range(lo, hi, _BLOCK):
+            outside = ~words[:, start : min(start + _BLOCK, hi), None]
+            spill = below[0] & outside[0]
+            for word, out in zip(below[1:], outside[1:]):
+                spill |= word & out
+            covered[start : start + len(spill)] |= (spill == 0).any(axis=1)
+    minimal = np.empty(len(reps), dtype=bool)
+    minimal[order] = ~covered
+    holds = ab_condition(weight.tolist())
     if holds and not minimal.all():
         raise RuntimeError(
             "weight-ratio screen guarantees all-minimal, but covering pairs exist"

@@ -236,6 +236,25 @@ def test_export_access_json(capsys):
     assert "round_trip" not in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("sss", "--m", "3", "--set", "units"),
+        ("export", "--m", "3", "--set", "lprime", "--format", "access"),
+    ),
+)
+def test_census_refusal_names_the_minimality_census(capsys, monkeypatch, argv):
+    # the census builds no codeword table, so its refusal names its own scope
+    def forbidden(self):
+        raise AssertionError("the codeword table was built")
+
+    monkeypatch.setattr("cubicode.trace_code.TernaryCode.codewords", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: minimality census: supported for m <= 2, got m=3\n"
+
+
 def test_weights_enumerate_cross_checks_formula(capsys, monkeypatch):
     import cubicode.cli as cli_mod
     from cubicode.weight_dist import WeightDistribution

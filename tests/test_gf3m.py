@@ -140,6 +140,33 @@ def test_coeffs_roundtrip():
         assert F.from_coeffs(F.coeffs(x)) == x
 
 
+@pytest.mark.parametrize("bad", [2.0, np.float64(1), 1.5, True, False, np.True_, "1", None])
+def test_element_codes_must_be_integers(bad):
+    F = get_field(2)
+    for op in (F.coeffs, F.neg, F.inv, F.quadratic_character, lambda x: F.mul(x, 2),
+               lambda x: F.mul(2, x), lambda x: F.add(x, 1), lambda x: F.pow(x, 2)):
+        with pytest.raises(ValueError, match="is not an element code"):
+            op(bad)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        F.from_coeffs([bad, 1])
+    with pytest.raises(ValueError, match="integer coefficients"):
+        F.from_coeffs([1, bad])
+
+
+def test_numpy_integer_codes_give_python_ints():
+    F = get_field(2)
+    coeffs = F.coeffs(np.int64(5))
+    assert coeffs == (2, 1) and all(type(c) is int for c in coeffs)
+    for digits in (np.array([2, 1]), [np.int8(2), np.uint16(1)]):
+        code = F.from_coeffs(digits)
+        assert code == 5 and type(code) is int
+    assert F.mul(np.int8(5), np.uint64(5)) == F.mul(5, 5)
+    assert type(F.add(np.int64(4), 8)) is int and F.add(np.int64(4), 8) == F.add(4, 8)
+    assert F.neg(np.int32(7)) == F.neg(7)
+    with pytest.raises(ValueError):
+        F.coeffs(np.int64(9))
+
+
 def test_degree_guard():
     with pytest.raises(ValueError):
         GF3m(0)
@@ -185,7 +212,7 @@ def test_log_tables_equal_the_raw_multiplication_walk(m):
     for i in range(F.q - 1):
         exp.append(val)
         log[val] = i
-        val = F._mul_raw(val, F.generator)
+        val = poly_mul_mod(F, val, F.generator)
     assert val == 1
     assert F._exp == exp and F._log == log
 

@@ -11,6 +11,7 @@ Hypothesis runs derandomized with no deadline, so the examples and the
 outcome are the same on every run.
 """
 
+import collections
 import functools
 import itertools
 
@@ -168,10 +169,9 @@ def point_matrices(draw):
     return G[:, draw(st.permutations(range(G.shape[1])))]
 
 
-@PROPERTY
-@given(point_matrices())
-def test_point_census_equals_brute_force_covering(G):
-    k, n = G.shape
+def brute_force_census(G):
+    """Class representatives, their supports and the covered ones, over all 3^k words."""
+    k = G.shape[0]
     msgs = np.array(list(itertools.product(range(3), repeat=k)), dtype=np.int64)[:, ::-1]
     words = (msgs @ G.astype(np.int64)) % 3  # row i is the word of message index i
     reps = [i for i in range(1, 3**k) if i <= int((2 * msgs[i]) % 3 @ 3 ** np.arange(k))]
@@ -179,6 +179,11 @@ def test_point_census_equals_brute_force_covering(G):
     non_minimal = tuple(
         i for i in reps if any(j != i and supports[j] <= supports[i] for j in reps)
     )
+    return reps, words, supports, non_minimal
+
+
+def assert_census_equals_brute_force(G):
+    reps, words, supports, non_minimal = brute_force_census(G)
     weights = [len(supports[i]) for i in reps]
     spec = trace_code.CodeSpec(m=1, set_kind="lprime")
     report, support = sss.minimal_codewords(trace_code.TernaryCode(spec, G))
@@ -187,6 +192,75 @@ def test_point_census_equals_brute_force_covering(G):
     assert report.non_minimal_classes == non_minimal
     assert report.minimal_count == len(reps) - len(non_minimal)
     assert report.ab_ratio_holds == (3 * min(weights) > 2 * max(weights))
+    return supports, non_minimal
+
+
+@PROPERTY
+@given(point_matrices())
+def test_point_census_equals_brute_force_covering(G):
+    assert_census_equals_brute_force(G)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Full-rank rows plus rows in their span, so some classes have empty support."""
+    base = draw(point_matrices())
+    k = base.shape[0]
+    mix = draw(arrays(np.int64, (draw(st.integers(1, 5 - k)), k), elements=st.integers(0, 2)))
+    G = np.vstack([base, mix @ base % 3]).astype(np.int8)
+    G = G[draw(st.permutations(range(G.shape[0])))]
+    # the screen over the nonzero weights must fail: when it holds, the empty
+    # classes cover the others and the census raises instead of answering
+    reps, words, _, _ = brute_force_census(G)
+    weights = [w for w in np.count_nonzero(words[reps], axis=1).tolist() if w]
+    assume(not weights or 3 * min(weights) <= 2 * max(weights))
+    return G
+
+
+@PROPERTY
+@given(rank_deficient_matrices())
+def test_point_census_equals_brute_force_on_rank_deficient_g(G):
+    supports, non_minimal = assert_census_equals_brute_force(G)
+    empty = [i for i, s in supports.items() if not s]
+    assert empty
+    # an empty support lies inside every other one
+    assert set(non_minimal) >= set(supports) - set(empty)
+
+
+@st.composite
+def duplicate_support_matrices(draw):
+    """Blocks whose two rows have one support, in an arbitrary basis.
+
+    Block b has rows (1, 1) and (1, 2) over t_b repeated columns, each
+    column scaled by 1 or 2: its two rows, and any class that picks one
+    row from each of several blocks, share a support with other classes,
+    so equal supports occur at several sizes.
+    """
+    blocks = draw(st.integers(2, 3))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=blocks, max_size=blocks))
+    n = 2 * sum(repeats)
+    G = np.zeros((2 * blocks, n), dtype=np.int64)
+    col = 0
+    for b, t in enumerate(repeats):
+        G[2 * b : 2 * b + 2, col : col + 2 * t] = np.repeat([[1, 1], [1, 2]], t, axis=1)
+        col += 2 * t
+    G *= draw(arrays(np.int64, n, elements=st.integers(1, 2)))
+    # unit lower times unit upper triangular: an invertible change of basis
+    k = 2 * blocks
+    lower, upper = (draw(arrays(np.int64, (k, k), elements=st.integers(0, 2))) for _ in range(2))
+    basis = (np.tril(lower, -1) + np.eye(k, dtype=np.int64)) @ (np.triu(upper, 1) + np.eye(k, dtype=np.int64))
+    G = (basis @ G % 3).astype(np.int8)
+    return G[:, draw(st.permutations(range(n)))]
+
+
+@PROPERTY
+@given(duplicate_support_matrices())
+def test_point_census_equals_brute_force_on_duplicate_supports(G):
+    supports, non_minimal = assert_census_equals_brute_force(G)
+    count = collections.Counter(supports.values())
+    shared = [i for i, s in supports.items() if count[s] > 1]
+    assert len({len(supports[i]) for i in shared}) >= 2
+    assert set(shared) <= set(non_minimal)
 
 
 @functools.cache

@@ -132,6 +132,30 @@ def test_point_census_on_a_hyperplane_and_points_off_it(k, seed):
     assert access_structure(code) == table_access_structure(code)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_census_covers_a_level_wider_than_a_block(seed):
+    # one column per point of PG(4, 3) with y_5 = 0, and two columns off that
+    # hyperplane: the weights are 2, 81 (40 classes), 82 (162) and 83 (161),
+    # and every class of weight 83 is covered, so the covered rows of that
+    # level fill more than one 128-row block
+    digits = np.arange(1, 3**5)[:, None] // 3 ** np.arange(5) % 3
+    lead = digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
+    hyperplane = np.column_stack([digits[lead == 1], np.zeros(121, dtype=np.int64)])
+    cols = np.vstack([hyperplane, [[1, 1, 2, 2, 2, 1], [2, 1, 2, 1, 2, 1]]]).T
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, 3, (6, 6))
+    while linalg3.rank(basis) < 6:
+        basis = rng.integers(0, 3, (6, 6))
+    G = (basis @ cols % 3)[:, rng.permutation(cols.shape[1])].astype(np.int8)
+    code = TernaryCode(CodeSpec(m=2), G)
+    report, support = minimal_codewords(code)
+    want_report, want_support = table_census(code)
+    assert report == want_report
+    assert len(report.non_minimal_classes) == 161 and report.minimal_count == 203
+    assert all(np.array_equal(support[i], want_support[i]) for i in support)
+    assert access_structure(code) == table_access_structure(code)
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_minimality_report_is_the_census_report(spec):
     code = build_code(spec)
