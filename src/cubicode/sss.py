@@ -22,12 +22,16 @@ set T is qualified iff some codeword c of C with c_0 = 1 is zero off
 minimal access sets are the supports (minus coordinate 0) of the
 minimal codewords of C whose coordinate 0 is nonzero, which is what
 access_structure lists.  Both directions read one reduction of G cached
-on the code: dealing solves G x = 0 on its pivot columns, and
-reconstruction is one masked `linalg3.eliminate` of its bit-sliced rows
-and an inner product by popcounts.  A party is one int object per code,
-code.parties[p - 1]: the share dicts are keyed on them and every minimal
-access set holds references to them, so an entry costs a tuple slot, not
-a new int.
+on the code.  Dealing solves G x = 0 on its pivot columns with float64
+BLAS products of trits, exact because every entry is an integer of at
+most 4N, far below 2^53.  Reconstruction is one masked
+`linalg3.eliminate` of the bit-sliced rows, which yields the
+recombination row c of the party set, and an inner product by popcounts.
+c depends on the party set alone, so the code keeps the last (party
+mask, c) and a run of calls on one set eliminates once.  A party is one
+int object per code, code.parties[p - 1]: the share dicts are keyed on
+them and every minimal access set holds references to them, so an entry
+costs a tuple slot, not a new int.
 
 Parties in every minimal access set are dictators; because the Gray
 image repeats generator columns (the triple at a set position x
@@ -67,9 +71,12 @@ class MinimalityReport:
 
 
 def ab_condition(weights: Iterable[int]) -> bool:
-    """3 w_min > 2 w_max over the nonzero weights (or a distribution's entries)."""
+    """3 w_min > 2 w_max over the nonzero weights (or a distribution's entries).
+
+    False when no weight is nonzero: the screen then certifies nothing.
+    """
     nz = [w for w in weights if w > 0]
-    return 3 * min(nz) > 2 * max(nz)
+    return bool(nz) and 3 * min(nz) > 2 * max(nz)
 
 
 def _class_representatives(k: int) -> np.ndarray:
@@ -148,7 +155,10 @@ def _census(code: TernaryCode):
     minimal = np.empty(len(reps), dtype=bool)
     minimal[order] = ~covered
     holds = ab_condition(weight.tolist())
-    if holds and not minimal.all():
+    # the screen speaks of nonzero codewords only.  A class of weight 0
+    # exists exactly when G is rank-deficient, and then y and y + z, for z
+    # in the kernel of y -> yG, are one codeword and cover each other
+    if holds and weight[0] > 0 and not minimal.all():
         raise RuntimeError(
             "weight-ratio screen guarantees all-minimal, but covering pairs exist"
         )
@@ -235,7 +245,10 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     x[P] = -R[:, F] x[F] on the free columns F.  Column 0 is the first
     pivot, so x_0 = -R[0, F] x[F]: every free coordinate but one j with
     R[0, j] != 0 is drawn at random, and x_j is solved for so that
-    x_0 = secret.  The trits come from random.Random(seed).
+    x_0 = secret.  The trits come from random.Random(seed).  R x and the
+    check G x = 0 are float64 products with the float copies the cached
+    reduction keeps; every entry is an integer of at most 4N, so both are
+    exact.
     """
     if isinstance(secret, bool) or secret not in (0, 1, 2):
         raise ValueError("the secret must be a trit")
@@ -247,28 +260,23 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     if j is None:
         raise ValueError("e_0 is a codeword, so every dual codeword is 0 at position 0")
     # the draws at the pivot columns are discarded
-    x = _trits(random.Random(seed), code.length).astype(np.int64)
+    x = _trits(random.Random(seed), code.length)
     x[red.pivots] = 0
     x[j] = 0
     # with x[P] = 0 and x_j = 0, R x sums the other free columns; a nonzero
-    # trit is its own inverse
-    partial = red.rows @ x
-    x[j] = (-int(red.rows[0, j]) * (secret + partial[0])) % 3
-    x[red.pivots] = -(partial + red.rows[:, j] * x[j]) % 3
-    if x[0] != secret or ((code.generators @ x) % 3).any():
+    # trit is its own inverse.  The float64 products are exact: each entry
+    # is an integer of at most 4N, far below 2^53
+    partial = red.float_rows @ x
+    x[j] = (-int(red.rows[0, j]) * (secret + int(partial[0]))) % 3
+    x[red.pivots] = -(partial + red.float_rows[:, j] * x[j]) % 3
+    if x[0] != secret or ((red.float_generators @ x) % 3).any():
         raise ArithmeticError("the sampled word is not a dual codeword carrying the secret")
     return dict(zip(code.parties, x[1:].tolist()))
 
 
-def _exact_ints(values, dtype) -> np.ndarray | None:
-    """The values as a dtype array, or None unless each is an int that fits."""
-    # exact type: rejects bool, float, str and numpy scalars alike
-    if set(map(type, values)) != {int}:
-        return None
-    try:
-        return np.fromiter(values, dtype=dtype, count=len(values))
-    except OverflowError:
-        return None
+def _all_ints(values) -> bool:
+    """Whether every value is exactly an int, not a bool, float, str or numpy scalar."""
+    return list(map(type, values)).count(int) == len(values)
 
 
 def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
@@ -277,28 +285,45 @@ def reconstruct(shares: dict[int, int], code: TernaryCode) -> int:
     The codewords of C that are zero off {0} and T are the row-space words
     vanishing on the other columns S, so one elimination of the cached
     reduced rows with pivots restricted to S leaves rows spanning them.
-    One with a nonzero coordinate 0, scaled to c_0 = 1, gives the secret
-    -sum_t c_t x_t.  Raises ValueError when a position is not an int in
-    1 .. N-1, a share is not an int in 0 .. 2, or T is not qualified (no
-    left-over row is nonzero at 0).
+    One with a nonzero coordinate 0, scaled to c_0 = 1, is the
+    recombination row c, and the secret is -sum_t c_t x_t.  c depends on
+    T alone, not on the shares, so the code keeps the last (party mask, c)
+    in code.recombination and a call with the same party set reuses it.
+    Raises ValueError when a position is not an int in 1 .. N-1, a share
+    is not an int in 0 .. 2, or T is not qualified (no left-over row is
+    nonzero at 0).
     """
     if not shares:
         raise ValueError("no shares given")
-    positions = _exact_ints(shares.keys(), np.int64)
+    keys, values = shares.keys(), shares.values()
+    try:
+        positions = np.fromiter(keys, dtype=np.int64, count=len(keys)) if _all_ints(keys) else None
+    except OverflowError:
+        positions = None
     if positions is None or positions.min() < 1 or positions.max() >= code.length:
         raise ValueError("share positions must be ints in 1 .. N-1")
-    values = _exact_ints(shares.values(), np.int8)
-    if values is None or values.min() < 0 or values.max() > 2:
+    try:
+        # bytearray() refuses an int below 0 or above 255
+        trits = np.frombuffer(bytearray(values), dtype=np.uint8) if _all_ints(values) else None
+    except ValueError:
+        trits = None
+    if trits is None or trits.max() > 2:
         raise ValueError("share values must be trits")
-    x = np.zeros(code.length, dtype=np.int8)
-    x[positions] = values
     party = np.zeros(code.length, dtype=bool)
     party[positions] = True
     party[0] = True
-    _, _, rest = linalg3.eliminate(code.reduction().planes, linalg3.bits(~party))
-    c = next((row for row in rest if (row[0] | row[1]) & 1), None)
+    mask = linalg3.bits(party)
+    cached = code.recombination
+    if cached is None or cached[0] != mask:
+        # ~mask allows every column off {0} and T
+        _, _, rest = linalg3.eliminate(code.reduction().planes, ~mask)
+        c = next((row for row in rest if (row[0] | row[1]) & 1), None)
+        if c is not None and c[1] & 1:
+            c = (c[1], c[0])
+        code.recombination = cached = (mask, c)
+    c = cached[1]
     if c is None:
         raise ValueError("the given party set cannot reconstruct the secret")
-    if c[1] & 1:
-        c = (c[1], c[0])
+    x = np.zeros(code.length, dtype=np.uint8)
+    x[positions] = trits
     return -linalg3.dot(c, (linalg3.bits(x == 1), linalg3.bits(x == 2))) % 3

@@ -256,13 +256,17 @@ class Reduction(NamedTuple):
     rows holds its rank nonzero rows R (int8), pivots their pivot columns
     P (an int64 array; R[:, P] is the identity), planes the rows R
     bit-sliced by linalg3.pack and slot the first column j > 0 with
-    R[0, j] != 0 (None if there is none).
+    R[0, j] != 0 (None if there is none).  float_rows and
+    float_generators are R and G in float64, for BLAS products with trit
+    vectors: each entry of such a product is an integer of at most 4N.
     """
 
     rows: np.ndarray
     pivots: np.ndarray
     planes: list[linalg3.Planes]
     slot: int | None
+    float_rows: np.ndarray
+    float_generators: np.ndarray
 
 
 class TernaryCode:
@@ -271,6 +275,8 @@ class TernaryCode:
     parties, the positions 1 .. N-1 of the secret sharing scheme, is one
     tuple of ints per code, built on first use: the dealt shares and every
     minimal access set hold references to its int objects, not copies.
+    recombination is sss.reconstruct's last (party mask, recombination
+    row or None), so a party set met again skips its elimination.
     """
 
     def __init__(self, spec: CodeSpec, generators: np.ndarray) -> None:
@@ -280,6 +286,7 @@ class TernaryCode:
         self.layout = spec.layout
         self._codewords: np.ndarray | None = None
         self._reduction: Reduction | None = None
+        self.recombination: tuple[int, linalg3.Planes | None] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -310,7 +317,12 @@ class TernaryCode:
             rows = reduced[: len(pivots)]
             slots = (np.flatnonzero(rows[:1, 1:]) + 1).tolist()
             self._reduction = Reduction(
-                rows, np.array(pivots, dtype=np.int64), linalg3.pack(rows), slots[0] if slots else None
+                rows,
+                np.array(pivots, dtype=np.int64),
+                linalg3.pack(rows),
+                slots[0] if slots else None,
+                rows.astype(np.float64),
+                self.generators.astype(np.float64),
             )
         return self._reduction
 

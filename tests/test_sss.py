@@ -92,6 +92,27 @@ def test_minimality_census_m2():
     assert all(support[i].shape == (972,) and support[i].all() for i in report.non_minimal_classes)
 
 
+def test_census_answers_on_a_rank_deficient_g_that_passes_the_screen():
+    # rows g and 2g: the nonzero codewords g, 2g share one support, so the
+    # screen holds, while the classes y and y + (1, 1) are one codeword and
+    # the weight-0 class (1, 1) lies inside the three others
+    code = TernaryCode(CodeSpec(m=1), np.array([[1, 1, 1], [2, 2, 2]], dtype=np.int8))
+    report, support = minimal_codewords(code)
+    assert report.ab_ratio_holds
+    assert report.minimal_count == 1
+    assert report.non_minimal_classes == (1, 3, 5)
+    assert not support[4].any()
+
+
+def test_census_on_an_all_zero_g_covers_every_class():
+    assert not ab_condition([0, 0])
+    report, support = minimal_codewords(TernaryCode(CodeSpec(m=1), np.zeros((2, 3))))
+    assert not report.ab_ratio_holds
+    assert report.minimal_count == 0
+    assert report.non_minimal_classes == (1, 3, 4, 5)
+    assert not any(row.any() for row in support.values())
+
+
 def test_minimality_guard():
     with pytest.raises(ValueError):
         minimal_codewords(build_code(CodeSpec(m=3)))
@@ -321,6 +342,77 @@ def test_reconstruct_rejects_unqualified_sets():
             reconstruct({**qualified, 3: value}, code)
     # the full party set always reconstructs
     assert reconstruct(shares, code) == 1
+
+
+def test_reconstruct_refuses_values_bytes_would_accept():
+    code = build_code(CodeSpec(m=1, set_kind="lprime"))
+    shares = massey_shares(code, 1, seed=1)
+    qualified = {p: v for p, v in shares.items() if p > 2}
+    # 255 fits a byte but is no trit; numpy integers pass bytes() by __index__
+    for value in (255, 3, np.uint8(shares[1]), np.uint8(255)):
+        for bad in ({1: value}, {**qualified, 1: value}, {**qualified, 3: value}):
+            with pytest.raises(ValueError, match="share values must be trits"):
+                reconstruct(bad, code)
+    assert reconstruct(qualified, code) == 1
+
+
+def qualified_by_brute_force(code, party):
+    """Some codeword nonzero at 0 is zero off {0} and the party set."""
+    words = code.codewords()
+    outside = np.setdiff1d(np.arange(1, code.length), party)
+    return bool(((words[:, 0] != 0) & ~words[:, outside].any(axis=1)).any())
+
+
+def test_round_trips_interleaved_across_codes_and_party_sets():
+    # requests in random order on the four m = 1 codes: each minimal set,
+    # that set minus a party and a superset of it, three secrets at a time,
+    # each sent to its code and then to the code of the other layout, where
+    # the same party mask has another recombination row.  A row kept for
+    # another code or another party set answers or refuses wrongly
+    codes = {(spec.set_kind, spec.layout): build_code(spec) for spec in SMALL_SPECS if spec.m == 1}
+    rng = random.Random(19)
+    requests = []
+    for (kind, layout), code in codes.items():
+        sibling = codes[kind, next(other for other in LAYOUTS if other != layout)]
+        for group in access_structure(code).minimal_access_sets:
+            superset = tuple(sorted({*group, *rng.sample(range(1, code.length), 3)}))
+            requests += [((code, party), (sibling, party)) for party in (group, group[1:], superset)]
+    rng.shuffle(requests)
+    outcomes = set()
+    for request in requests:
+        for code, party in request:
+            qualified = qualified_by_brute_force(code, party)
+            outcomes.add(qualified)
+            for secret in rng.sample(range(3), 3):
+                shares = massey_shares(code, secret, seed=rng.randrange(1 << 30))
+                picked = {p: shares[p] for p in party}
+                if qualified:
+                    assert reconstruct(picked, code) == secret
+                else:
+                    with pytest.raises(ValueError, match="cannot reconstruct"):
+                        reconstruct(picked, code)
+    assert outcomes == {True, False}
+
+
+def test_reconstruct_eliminates_once_per_run_of_one_party_set(monkeypatch):
+    code, other = (build_code(CodeSpec(m=1, set_kind="units")) for _ in range(2))
+    first, second = access_structure(code).minimal_access_sets[:2]
+    code.reduction(), other.reduction()  # row_reduce eliminates too
+    calls = []
+    eliminate = linalg3.eliminate
+    monkeypatch.setattr(linalg3, "eliminate", lambda *args: calls.append(1) or eliminate(*args))
+    for party, want in ((first, 1), (first[1:], 2), (second, 3), (first, 4)):
+        for secret in (0, 1, 2):
+            shares = massey_shares(code, secret, seed=secret)
+            try:
+                assert reconstruct({p: shares[p] for p in party}, code) == secret
+            except ValueError:
+                assert party == first[1:]
+        assert len(calls) == want
+    # another code with the same party set keeps its own row
+    shares = massey_shares(other, 2, seed=0)
+    assert reconstruct({p: shares[p] for p in first}, other) == 2
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("kind,support_parties", [("lprime", 647), ("units", 1295)])
