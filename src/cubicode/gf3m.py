@@ -12,6 +12,12 @@ discrete-log tables for a fixed primitive element, the smallest element
 code whose F_3 multiplication matrix has order 3^m - 1.  Supported degrees
 are 1..8 (fields up to 6561 elements); everything is exact integer
 arithmetic.
+
+The trace needs no field: trace_form(m) is the matrix of the bilinear
+form tr(y z) in the polynomial basis, B[i, j] = tr(x^(i+j)), whose
+entries are power sums of the roots of the modulus, from its
+coefficients by Newton's identities.  trace_table and the Gauss periods
+(weight_dist.gauss_periods) read the trace from it.
 """
 
 from __future__ import annotations
@@ -51,32 +57,67 @@ def _poly_rem(f, g):
     return out
 
 
-def _has_root(f) -> bool:
-    return any(sum(c * x**i for i, c in enumerate(f)) % 3 == 0 for x in range(3))
+@functools.lru_cache(maxsize=None)
+def _irreducibles(d: int) -> tuple[tuple[int, ...], ...]:
+    """The monic irreducibles of degree d in the digit encoding order."""
+    monic = (tuple(_digits(tail, d)) + (1,) for tail in range(3**d))
+    return tuple(f for f in monic if _is_irreducible(f))
 
 
 def _is_irreducible(f) -> bool:
-    """Monic f over F_3: root test, then trial division up to half the degree."""
-    deg = len(f) - 1
-    if deg == 1:
+    """Monic f over F_3: trial division by the irreducibles up to half its degree.
+
+    The remainders by x, x - 1 and x + 1 are f(0), f(1) and f(-1).
+    """
+    if len(f) == 2:
         return True
-    if _has_root(f):
+    even, odd = sum(f[::2]), sum(f[1::2])
+    if not (f[0] and (even + odd) % 3 and (even - odd) % 3):
         return False
-    for d in range(2, deg // 2 + 1):
-        for tail in range(3**d):
-            g = _digits(tail, d) + [1]
-            if not any(_poly_rem(f, g)):
-                return False
-    return True
+    return all(any(_poly_rem(f, g)) for d in range(2, (len(f) - 1) // 2 + 1) for g in _irreducibles(d))
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
 def smallest_irreducible(m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m in the digit encoding order."""
+    """First monic irreducible of degree m in the digit encoding order, found once per degree.
+
+    ValueError unless m is an integer (not a bool) in 1..MAX_DEGREE.
+    """
+    m = _degree(m)
     for tail in range(3**m):
-        f = _digits(tail, m) + [1]
+        f = tuple(_digits(tail, m)) + (1,)
         if _is_irreducible(f):
-            return tuple(f)
+            return f
     raise RuntimeError(f"no irreducible polynomial of degree {m}")  # unreachable
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
+def trace_form(m: int) -> np.ndarray:
+    """The (m, m) int64 matrix B of the trace form in the polynomial basis, read-only.
+
+    With x a root of the modulus f, its conjugates x^(3^i) are all the
+    roots, so p_k = tr(x^k) is the k-th power sum of the roots of f.
+    Newton's identities give the p_k from the coefficients of
+    f = x^m + c_1 x^(m-1) + ... + c_m alone:
+
+        p_0 = m,  p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k)   (k <= m),
+        p_k = -(c_1 p_(k-1) + ... + c_m p_(k-m))                      (k > m),
+
+    all mod 3.  B[i, j] = p_(i+j) for k = i + j <= 2m - 2, so for digit
+    vectors d(y), d(z) of y and z, tr(y z) = d(y)^T B d(z) mod 3 and
+    tr(y) = B[0] . d(y).  B is a Hankel matrix: its row 0 holds
+    p_0 .. p_(m-1) and its last row p_(m-1) .. p_(2m-2).  Built once per
+    degree; ValueError as smallest_irreducible.
+    """
+    c = smallest_irreducible(m)[::-1]  # c[j] is the coefficient of x^(m-j), c[0] = 1
+    m = len(c) - 1
+    p = [m % 3]
+    for k in range(1, 2 * m - 1):
+        s = sum(c[j] * p[k - j] for j in range(1, min(k, m + 1)))
+        if k <= m:
+            s += k * c[k]
+        p.append(-s % 3)
+    return _read_only(np.array([p[i : i + m] for i in range(m)], dtype=np.int64))
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -105,6 +146,14 @@ def _integer(x) -> int | None:
         return None
 
 
+def _degree(m) -> int:
+    """m as a Python int; ValueError unless it is an integer (not a bool) in 1..MAX_DEGREE."""
+    degree = _integer(m)
+    if degree is None or not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"extension degree must be an integer in 1..{MAX_DEGREE}, got {m!r}")
+    return degree
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -119,9 +168,7 @@ class GF3m:
     """
 
     def __init__(self, m: int) -> None:
-        if not 1 <= m <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {m}")
-        self.m = m
+        self.m = m = _degree(m)
         self.q = 3**m
         self.modulus = smallest_irreducible(m)
         self._exp, self._log = self._build_log_tables()
@@ -314,12 +361,12 @@ class GF3m:
         """(q,) int8 absolute traces, read-only.
 
         The trace is F_3-linear, so tr(x) is the digit vector of x dotted
-        with the traces of the basis elements 3^i, mod 3.
+        with the traces p_i = tr(x^i) of the basis elements 3^i, mod 3:
+        row 0 of trace_form(m), from Newton's identities on the modulus.
         """
         if "trace" not in self._tables:
             digits = np.arange(self.q)[:, None] // 3 ** np.arange(self.m) % 3
-            basis = np.array([self.trace(3**i) for i in range(self.m)])
-            self._tables["trace"] = _read_only((digits @ basis % 3).astype(np.int8))
+            self._tables["trace"] = _read_only((digits @ trace_form(self.m)[0] % 3).astype(np.int8))
         return self._tables["trace"]
 
     @property

@@ -132,9 +132,12 @@ def _census(code: TernaryCode):
     # exact in float32 while the length N stays below 2^24
     weight = (support.astype(np.float32) @ count[points].astype(np.float32)).astype(np.int64)
     packed = np.packbits(support, axis=1)
-    # words[w, i] is the w-th uint64 word of row i; after the sort the
-    # weights ascend and equal rows are neighbours
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T
+    # words[w, i] is the w-th uint64 word of row i, the bytes zero-padded to
+    # whole words; after the sort the weights ascend and equal rows are
+    # neighbours
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view(np.uint64).T
     order = np.lexsort((*words, weight))
     words = words[:, order]
     weight = weight[order]

@@ -33,6 +33,9 @@ injectivity is "the 3m basis images have rank 3m", and a coordinate
 permutation maps the code into itself iff the permuted G lies in the row
 space of G; for the group action it suffices to check the 2m + 1
 generators of L.  All checks are exact, with no sampling, for m <= 3.
+G is evaluated once per (m, kind, layout) and shared, read-only, by
+every TernaryCode that build_code returns for that spec; each code keeps
+its own parties, reduction, recombination row and codeword table.
 """
 
 from __future__ import annotations
@@ -337,9 +340,16 @@ def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:
     return gray_image(ctx.trace_triples(ring_basis(ctx.m)), layout)
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_generators(m: int, kind: str, layout: str) -> np.ndarray:
+    G = _generator_matrix(get_eval_context(m, kind), layout)
+    G.flags.writeable = False
+    return G
+
+
 def build_code(spec: CodeSpec) -> TernaryCode:
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    return TernaryCode(spec, _generator_matrix(ctx, spec.layout))
+    """A fresh code on the spec's cached, read-only generator matrix G."""
+    return TernaryCode(spec, _cached_generators(spec.m, spec.set_kind, spec.layout))
 
 
 def export_generators(code: TernaryCode) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, allowed_x1, code_length, defining_set_generators, require_scope
-from .gf3m import get_field
+from .gf3m import get_field, trace_form
 from .trace_code import CodeSpec, get_eval_context
 
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
@@ -49,12 +49,12 @@ _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
 class GaussPeriods:
     """Character sums over the squares and nonsquares of F_{3^m}.
 
-    squares and nonsquares hold the directly summed numeric values of
-    sum omega^{tr(x)} over the two classes.  For even m both are exact
-    integers (exact_even); for odd m both have real part -1/2 and
-    imaginary parts +-(1/2) 3^{m/2} with opposite signs, odd_imag_sign
-    giving the sign on the squares side.  They always satisfy
-    squares + nonsquares = -1.
+    squares and nonsquares hold the numeric values of sum omega^{tr(x)}
+    over the two classes, formed from the exact counts of each trace
+    value (gauss_periods).  For even m both are exact integers
+    (exact_even); for odd m both have real part -1/2 and imaginary parts
+    +-(1/2) 3^{m/2} with opposite signs, odd_imag_sign giving the sign on
+    the squares side.  They always satisfy squares + nonsquares = -1.
     """
 
     m: int
@@ -77,12 +77,37 @@ class GaussPeriods:
         return (-self.gauss_sum - 1) / 2
 
 
+def _period_counts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, n): c[t] squares and n[t] nonsquares of F_{3^m} with trace t, as int64.
+
+    With B = trace_form(m), tr(x^2) = d^T B d on the digit vector d of x,
+    so one pass over the q - 1 digit vectors of F* counts the x with
+    tr(x^2) = t.  x -> x^2 maps F* 2-to-1 onto the squares, so c is half
+    those counts, and n is the count of tr(x) = B[0] . d over F* minus c.
+    No field is built.
+    """
+    B = trace_form(m)
+    digits = np.arange(1, 3**m)[:, None] // 3 ** np.arange(m) % 3
+    squares = np.bincount(((digits @ B) * digits).sum(axis=1) % 3, minlength=3) // 2
+    return squares, np.bincount(digits @ B[0] % 3, minlength=3) - squares
+
+
 def gauss_periods(m: int) -> GaussPeriods:
+    """The Gauss periods from exact trace counts, checked against the closed forms.
+
+    A period is c_0 + c_1 omega + c_2 omega^2 for the counts c of its
+    class (_period_counts), so the closed forms (Lidl and Niederreiter,
+    Finite Fields, Thm 5.15) are identities in integers, checked for
+    both classes: for even m, c_1 = c_2 and c_0 - c_1 is the class's
+    entry of exact_even; for odd m, 2 c_0 - c_1 - c_2 = -1 and
+    c_1 - c_2 = s 3^{(m-1)/2}, with s = odd_imag_sign on the squares and
+    -odd_imag_sign on the nonsquares.  The numeric periods must also lie
+    within 1e-9 relative of the closed forms.  Either failure raises
+    ArithmeticError.  ValueError unless m is an integer (not a bool) in
+    1..MAX_DEGREE.
+    """
     require_scope("Gauss periods", m)
-    F = get_field(m)
-    trace = F.trace_table.tolist()
-    sq = complex(sum(_OMEGA[trace[x]] for x in F.squares()))
-    ns = complex(sum(_OMEGA[trace[x]] for x in F.nonsquares()))
+    counts = _period_counts(m)
     if m % 2 == 0:
         root = 3 ** (m // 2)
         g = root if m % 4 == 2 else -root
@@ -91,6 +116,15 @@ def gauss_periods(m: int) -> GaussPeriods:
     else:
         exact_even = None
         odd_sign = 1 if m % 4 == 1 else -1
+    for side, name in enumerate(("squares", "nonsquares")):
+        c0, c1, c2 = counts[side].tolist()
+        if m % 2 == 0:
+            exact = c1 == c2 and c0 - c1 == exact_even[side]
+        else:
+            exact = 2 * c0 - c1 - c2 == -1 and c1 - c2 == (1 - 2 * side) * odd_sign * 3 ** (m // 2)
+        if not exact:
+            raise ArithmeticError(f"trace counts {(c0, c1, c2)} of the {name} break the closed form at m={m}")
+    sq, ns = (complex(c @ _OMEGA) for c in counts)
     periods = GaussPeriods(
         m=m, squares=sq, nonsquares=ns, exact_even=exact_even, odd_imag_sign=odd_sign
     )

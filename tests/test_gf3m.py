@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicode.gf3m import MAX_DEGREE, GF3m, get_field, smallest_irreducible
+from cubicode import gf3m
+from cubicode.gf3m import MAX_DEGREE, GF3m, get_field, smallest_irreducible, trace_form
 
 # coefficient tuples (constant term first) of the first monic irreducibles:
-# x, x^2 + 1, x^3 + 2x + 1
-KNOWN_MODULI = {1: (0, 1), 2: (1, 0, 1), 3: (1, 2, 0, 1)}
+# x, x^2 + 1, x^3 + 2x + 1, x^4 + x + 2, x^5 + 2x + 1, x^6 + x + 2,
+# x^7 + x^2 + 2, x^8 + x^2 + 2
+KNOWN_MODULI = {
+    1: (0, 1),
+    2: (1, 0, 1),
+    3: (1, 2, 0, 1),
+    4: (2, 1, 0, 0, 1),
+    5: (1, 2, 0, 0, 0, 1),
+    6: (2, 1, 0, 0, 0, 0, 1),
+    7: (2, 0, 1, 0, 0, 0, 0, 1),
+    8: (2, 0, 1, 0, 0, 0, 0, 0, 1),
+}
 
 
 @pytest.mark.parametrize("m,coeffs", sorted(KNOWN_MODULI.items()))
@@ -172,6 +183,44 @@ def test_degree_guard():
         GF3m(0)
     with pytest.raises(ValueError):
         GF3m(9)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 9, True, 2.0])
+@pytest.mark.parametrize("function", [smallest_irreducible, trace_form, GF3m])
+def test_degree_must_be_an_integer_in_range(function, bad):
+    # cached answers for 1 and 2 must not stand in for True and 2.0, which equal them
+    trace_form(1)
+    trace_form(2)
+    with pytest.raises(ValueError, match="extension degree"):
+        function(bad)
+
+
+def test_irreducible_counts_per_degree():
+    # (1/d) sum_{e | d} mu(d/e) 3^e monic irreducibles of degree d
+    assert [len(gf3m._irreducibles(d)) for d in range(1, 5)] == [3, 3, 8, 18]
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DEGREE + 1))
+def test_trace_form_holds_the_power_sums(m):
+    F = get_field(m)
+    B = trace_form(m)
+    assert B.shape == (m, m) and B.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        B[0, 0] = B[0, 0]
+    # x, the root of the modulus, is the element code 3, or 0 when the modulus is x itself
+    x = 3 if m > 1 else 0
+    power_sums = [F.trace(F.pow(x, k)) for k in range(2 * m - 1)]
+    assert [int(B[i, j]) for i in range(m) for j in range(m)] == [
+        power_sums[i + j] for i in range(m) for j in range(m)
+    ]
+    assert trace_form(m) is B
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_trace_form_gives_the_trace_of_every_product(m):
+    F = get_field(m)
+    digits = np.arange(F.q)[:, None] // 3 ** np.arange(m) % 3
+    assert np.array_equal(digits @ trace_form(m) @ digits.T % 3, F.trace_mul_table)
 
 
 def poly_mul_mod(F, x, y):

@@ -283,6 +283,22 @@ def test_ring_basis_spans_per_power_groups():
         ]
 
 
+@pytest.mark.parametrize("layout", ("interleaved", "block"))
+def test_codes_of_one_spec_share_a_read_only_generator_matrix(layout):
+    spec = CodeSpec(2, "units", layout)
+    first, second = build_code(spec), build_code(spec)
+    assert first is not second and first.generators is second.generators
+    with pytest.raises(ValueError, match="read-only"):
+        first.generators[0, 0] = first.generators[0, 0]
+    for code in (first, second):
+        assert "parties" not in vars(code)
+        assert code.recombination is None and code._reduction is None and code._codewords is None
+    first.reduction()
+    first.parties
+    assert second._reduction is None and "parties" not in vars(second)
+    assert build_code(CodeSpec(2, "lprime", layout)).generators is not first.generators
+
+
 def test_codeword_message_encoding():
     code = build_code(CodeSpec(m=1))
     words = code.codewords()

@@ -300,6 +300,77 @@ def test_gauss_periods_closed_forms():
         gauss_periods(0)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_period_counts_equal_trace_table_counts(m):
+    F = get_field(m)
+    squares, nonsquares = weight_dist._period_counts(m)
+    for counts, elements in ((squares, F.squares()), (nonsquares, F.nonsquares())):
+        assert counts.tolist() == np.bincount(F.trace_table[list(elements)], minlength=3).tolist()
+    # the parent's direct sums over the two classes, to the digits verify-paper prints
+    gp = gauss_periods(m)
+    for value, elements in ((gp.squares, F.squares()), (gp.nonsquares, F.nonsquares())):
+        direct = complex(sum(weight_dist._OMEGA[t] for t in F.trace_table[list(elements)].tolist()))
+        assert abs(value - direct) < 1e-9
+        assert round(value.real, 6) == round(direct.real, 6) and round(value.imag, 6) == round(direct.imag, 6)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 9, True, 2.0])
+def test_gauss_periods_refuse_bad_degrees(bad):
+    # answers for 1 and 2 must not stand in for True and 2.0, which equal them
+    gauss_periods(1)
+    gauss_periods(2)
+    with pytest.raises(ValueError):
+        gauss_periods(bad)
+
+
+# (class, change of (c_0, c_1, c_2)), each keeping the class size: a shift of
+# c_0, then c_1 != c_2 at the same c_0 - c_1, then c_1 - c_2 moved by 2
+PERTURBATIONS = [(0, (2, -1, -1)), (1, (2, -1, -1)), (0, (1, 1, -2)), (0, (0, 1, -1))]
+
+
+@pytest.mark.parametrize("side,change", PERTURBATIONS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_gauss_periods_check_the_counts_exactly(monkeypatch, m, side, change):
+    counts = list(weight_dist._period_counts(m))
+    counts[side] = counts[side] + change
+    monkeypatch.setattr(weight_dist, "_period_counts", lambda _: tuple(counts))
+    with pytest.raises(ArithmeticError, match="trace counts"):
+        gauss_periods(m)
+
+
+@pytest.mark.parametrize("m", (1, 3, 5))
+def test_gauss_periods_check_the_sign_of_odd_periods(monkeypatch, m):
+    # c_1 and c_2 swapped: the conjugate periods, right in size, wrong in sign
+    conjugate = tuple(counts[[0, 2, 1]] for counts in weight_dist._period_counts(m))
+    monkeypatch.setattr(weight_dist, "_period_counts", lambda _: conjugate)
+    with pytest.raises(ArithmeticError, match="trace counts"):
+        gauss_periods(m)
+
+
+def test_exact_period_check_holds_under_optimize():
+    script = """
+from cubicode import weight_dist
+print("debug", __debug__)
+original = weight_dist._period_counts
+for m, change in ((2, (1, 1, -2)), (3, (0, 1, -1))):
+    squares, nonsquares = original(m)
+    weight_dist._period_counts = lambda _, w=(squares + change, nonsquares): w
+    try:
+        weight_dist.gauss_periods(m)
+    except ArithmeticError as error:
+        print("refused" if "trace counts" in str(error) else "other")
+    else:
+        print("accepted")
+"""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
+
+
 def test_vector_char_sum():
     assert vector_char_sum([0, 0, 0]) == pytest.approx(3)
     assert abs(vector_char_sum([0, 1, 2])) < 1e-12
