@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cubicode
-from cubicode.cli import build_claims, main
+from cubicode.cli import build_claims, build_parser, main
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
 
@@ -16,6 +17,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python_dash_m(*argv):
+    """Run `python -m cubicode ARGV` on this checkout's package."""
+    src = str(Path(cubicode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "cubicode", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def _exit_outcome(capsys, parse, argv):
+    """Exit status, stdout and stderr of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 def test_weights_text(capsys):
@@ -123,13 +142,19 @@ def test_lprime_refusal_names_the_extrapolate_flag(capsys):
 )
 def test_python_dash_m_runs_the_cli(capsys, argv):
     code, out, err = run(capsys, *argv)
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubicode", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = python_dash_m(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, status", ((("verify-paper", "--help"), 0), (("verify-paper", "--threads", "0"), 2))
+)
+def test_python_dash_m_parses_sys_argv(capsys, monkeypatch, argv, status):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width in both processes
+    outcome = _exit_outcome(capsys, main, argv)
+    proc = python_dash_m(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome
+    assert outcome[0] == status
 
 
 def test_weights_extrapolate(capsys):
@@ -301,6 +326,77 @@ def test_usage_errors_exit_2():
             assert info.value.code == 2
 
 
+SUBCOMMANDS = ("weights", "bounds", "dual", "sss", "export", "verify-paper")
+
+# argv that the full parser answers with help or refuses
+HELP_AND_USAGE_ERRORS = (
+    ("--help",),
+    *((sub, "--help") for sub in SUBCOMMANDS),
+    (),
+    ("nonsense", "--m", "1"),
+    ("-h", "weights", "--m", "1"),
+    ("weights",),
+    ("weights", "--m", "1", "--set", "nonsense"),
+    *(
+        (*argv, "--threads", threads)
+        for argv in (("weights", "--m", "1"), ("export", "--m", "1"), ("verify-paper",))
+        for threads in ("0", "-1", "abc")
+    ),
+    ("weights", "--m", "1", "--output", "xml"),
+    ("verify-paper", "--output", "xml"),
+    ("weights", "--m", "1", "extra"),
+    ("bounds", "--m", "1", "--bogus"),
+    ("dual", "--m", "1", "--output", "json", "extra"),
+    ("sss", "--m", "1", "--seed", "3", "-x"),
+    ("export", "--m", "1", "--out", "-", "extra"),
+    ("verify-paper", "extra"),
+)
+
+# argv that the full parser accepts, with --opt=value forms and abbreviated options
+VALID_ARGV = (
+    ("weights", "--m", "1"),
+    ("weights", "--m=2", "--set=units", "--method=charsum", "--output=csv"),
+    ("weights", "--m", "3", "--meth", "enumerate", "--thr", "2", "--extra", "--out", "json"),
+    ("bounds", "--m", "2", "--set", "units", "--extrapolate", "--output", "json"),
+    ("bounds", "--m=1", "--out=json"),
+    ("dual", "--m", "1", "--layout", "block"),
+    ("dual", "--lay=block", "--m", "2", "--output", "json"),
+    ("sss", "--m", "2", "--seed", "-3", "--out", "json"),
+    ("sss", "--m", "1", "--set", "lprime", "--layout=interleaved"),
+    ("export", "--m", "1", "--format", "csv", "--out", "weights.csv"),
+    ("export", "--m=1", "--form", "access", "--method=formula", "--threads=2", "--extrapolate"),
+    ("verify-paper",),
+    ("verify-paper", "--output", "json", "--threads", "1"),
+    ("verify-paper", "--inc", "--out=json", "--thr=2"),
+)
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    outcome = _exit_outcome(capsys, main, argv)
+    assert outcome == _exit_outcome(capsys, build_parser().parse_args, argv)
+    assert outcome[0] == (0 if "--help" in argv or "-h" in argv else 2)
+
+
+class _Parsed(Exception):
+    """Carries a parsed namespace out of main before the handler runs."""
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_valid_argv_parse_as_with_the_full_parser(monkeypatch, argv):
+    expected = vars(build_parser().parse_args(list(argv)))
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def stop(parser, args=None, namespace=None):
+        raise _Parsed(parse_args(parser, args, namespace))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    with pytest.raises(_Parsed) as info:
+        main(list(argv))
+    assert vars(info.value.args[0]) == expected
+    assert expected["command"] == argv[0]
+
+
 def test_export_identical_across_threads(capsys):
     argv = ["export", "--m", "2", "--format", "json", "--method", "enumerate"]
     outputs = []
@@ -316,12 +412,7 @@ def test_export_identical_across_threads(capsys):
 def test_export_to_unwritable_path_exits_2(tmp_path, target):
     # a missing parent directory, then a path that names a directory
     out = tmp_path / target
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubicode", "export", "--m", "1", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = python_dash_m("export", "--m", "1", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

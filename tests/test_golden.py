@@ -2,8 +2,9 @@
 
 Each entry is a command line and the SHA-256 of its stdout.  The digests
 were recorded before the scalar arithmetic moved to nilpotent indices,
-and the sss ones before the access sets shared the code's party ints;
-a refactor that keeps them keeps every exported byte.
+the sss ones before the access sets shared the code's party ints, and
+the verify-paper text ones before argv was parsed by the chosen
+subcommand's parser alone; a refactor that keeps them keeps every exported byte.
 """
 
 import hashlib
@@ -13,6 +14,8 @@ import pytest
 from cubicode.cli import main
 
 DIGESTS = {
+    "verify-paper": "43346550a6e025b2a99b05c51ebcaa8192037c1314f03db53a93620a17d18ab2",
+    "verify-paper --include-slow": "cbc93ea147d92e388531b3415ee1abce9f70c0eb6aa82edbf2baf2a34758fc03",
     "verify-paper --output json": "b640448e612bd324a6adaf1ef91676493e857a276c74f8ce77861009af47077a",
     "verify-paper --output json --include-slow": "f4c99cf4d439d87f94b90d653f3de772e1379eed6af4c1fe8a8dd2ec8db84e9b",
     "export --format generators --m 1 --set lprime --layout interleaved": "20f7bc7b2490bc989e9d1b5bc1e705f105bea8964ef5f5dc29447444209f2f8d",
