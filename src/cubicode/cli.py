@@ -9,6 +9,13 @@ Subcommands:
     export        generator matrix, weight distribution, or access structure
     verify-paper  replay the documented reference results as claim records
 
+Each subcommand is one entry of COMMANDS (help, handler, arguments), and
+build_parser() makes the full parser from the table.  main parses argv
+with the named subcommand's parser alone, built from its entry as
+build_parser builds it.  argv that parser refuses, or that names no
+subcommand, goes to the full parser, so every usage error and help text
+is byte-for-byte the full parser's.
+
 Exit status: 0 when everything checked out (flagged claims included),
 1 when a verification claim mismatched or a round trip failed, 2 on
 usage errors and out-of-range requests.
@@ -460,8 +467,11 @@ def cmd_verify(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --threads: 0 or less is a usage error."""
-    value = int(text)
+    """argparse type of --threads: a non-integer or 0 or less is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -471,12 +481,49 @@ THREADS_HELP = (
     "accepted for compatibility; must be at least 1; changes neither the work nor the result"
 )
 
+_CODE = (
+    ("--m", {"type": int, "required": True, "help": "extension degree of the base field"}),
+    ("--set", {"choices": KINDS, "default": KIND_LPRIME, "help": "defining set kind"}),
+)
+_LAYOUT = ("--layout", {"choices": LAYOUTS, "default": "interleaved"})
+_METHOD = ("--method", {"choices": ("auto", "enumerate", "formula", "charsum"), "default": "auto"})
+_THREADS = ("--threads", {"type": positive_int, "default": 1, "help": THREADS_HELP})
+_EXTRAPOLATE = ("--extrapolate", {"action": "store_true"})
+_OUTPUT = ("--output", {"choices": ("text", "json"), "default": "text"})
 
-def _add_code_args(p: argparse.ArgumentParser, layout: bool = True) -> None:
-    p.add_argument("--m", type=int, required=True, help="extension degree of the base field")
-    p.add_argument("--set", choices=KINDS, default=KIND_LPRIME, help="defining set kind")
-    if layout:
-        p.add_argument("--layout", choices=LAYOUTS, default="interleaved")
+# subcommand name: (help, handler, its arguments in help order)
+COMMANDS = {
+    "weights": ("Lee weight distribution", cmd_weights, (
+        *_CODE, _METHOD, _THREADS,
+        ("--extrapolate", {"action": "store_true", "help": "emit unproven closed forms"}),
+        ("--output", {"choices": ("text", "json", "csv"), "default": "text"}),
+    )),
+    "bounds": ("Griesmer verdict and dual certificate", cmd_bounds, (*_CODE, _EXTRAPOLATE, _OUTPUT)),
+    "dual": ("dual-distance certificate", cmd_dual, (*_CODE, _LAYOUT, _OUTPUT)),
+    "sss": ("secret sharing access structure", cmd_sss, (
+        *_CODE, _LAYOUT,
+        ("--seed", {"type": int, "default": None, "help": "seed for the share round trip"}),
+        _OUTPUT,
+    )),
+    "export": ("write generators or a distribution", cmd_export, (
+        *_CODE, _LAYOUT,
+        ("--format", {"choices": ("generators", "csv", "json", "access"), "default": "generators"}),
+        _METHOD, _THREADS, _EXTRAPOLATE,
+        ("--out", {"default": "-", "help": "output path, '-' for stdout"}),
+    )),
+    "verify-paper": ("replay documented reference results", cmd_verify, (
+        ("--include-slow", {"action": "store_true", "help": "also enumerate at m=3"}),
+        _THREADS, _OUTPUT,
+    )),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, handler, arguments = COMMANDS[name]
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(command=name, func=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,60 +532,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="ternary images of trace codes over F_{3^m}[u]/(u^3 - 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weights", help="Lee weight distribution")
-    _add_code_args(p, layout=False)
-    p.add_argument(
-        "--method",
-        choices=("auto", "enumerate", "formula", "charsum"),
-        default="auto",
-    )
-    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
-    p.add_argument("--extrapolate", action="store_true", help="emit unproven closed forms")
-    p.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("bounds", help="Griesmer verdict and dual certificate")
-    _add_code_args(p, layout=False)
-    p.add_argument("--extrapolate", action="store_true")
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("dual", help="dual-distance certificate")
-    _add_code_args(p)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("sss", help="secret sharing access structure")
-    _add_code_args(p)
-    p.add_argument("--seed", type=int, default=None, help="seed for the share round trip")
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_sss)
-
-    p = sub.add_parser("export", help="write generators or a distribution")
-    _add_code_args(p)
-    p.add_argument("--format", choices=("generators", "csv", "json", "access"), default="generators")
-    p.add_argument(
-        "--method",
-        choices=("auto", "enumerate", "formula", "charsum"),
-        default="auto",
-    )
-    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
-    p.add_argument("--extrapolate", action="store_true")
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("verify-paper", help="replay documented reference results")
-    p.add_argument("--include-slow", action="store_true", help="also enumerate at m=3")
-    p.add_argument("--threads", type=positive_int, default=1, help=THREADS_HELP)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+class _Refused(Exception):
+    """The single-subcommand parser met argv it does not accept."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One subcommand's parser, built as build_parser builds it, that refuses instead of exiting."""
+
+    def error(self, message):
+        raise _Refused
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _add_command(_CommandParser(prog=f"cubicode {argv[0]}"), argv[0]).parse_args(argv[1:])
+        except _Refused:
+            pass  # the full parser reports the error, as it always has
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -388,13 +388,22 @@ def test_valid_argv_parse_as_with_the_full_parser(monkeypatch, argv):
     parse_args = argparse.ArgumentParser.parse_args
 
     def stop(parser, args=None, namespace=None):
-        raise _Parsed(parse_args(parser, args, namespace))
+        raise _Parsed(parser.prog, parse_args(parser, args, namespace))
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
     with pytest.raises(_Parsed) as info:
         main(list(argv))
-    assert vars(info.value.args[0]) == expected
+    prog, namespace = info.value.args
+    assert prog == f"cubicode {argv[0]}"  # parsed by the subcommand's parser alone
+    assert vars(namespace) == expected
     assert expected["command"] == argv[0]
+
+
+def test_a_non_integer_threads_is_worded_as_for_m(capsys):
+    for flag, argv in (("--m", ("weights", "--m", "abc")), ("--threads", ("weights", "--m", "1", "--threads", "abc"))):
+        code, out, err = _exit_outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"cubicode weights: error: argument {flag}: invalid int value: 'abc'\n")
 
 
 def test_export_identical_across_threads(capsys):
