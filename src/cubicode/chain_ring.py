@@ -182,6 +182,8 @@ def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
 
 def defining_set_size(m: int, kind: str) -> int:
     """|L| without materializing: (3^{3m} - 3^{2m}) / 2 for lprime, undivided for units."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
     if kind not in KINDS:
         raise ValueError(f"unknown defining set kind {kind!r}")
     units = 3 ** (3 * m) - 3 ** (2 * m)

@@ -9,7 +9,9 @@ reproducible across runs.
 
 Multiplication, inversion and the quadratic character run over
 discrete-log tables for a fixed primitive element, the smallest element
-code whose F_3 multiplication matrix has order 3^m - 1.  Supported degrees
+code of order 3^m - 1.  One bounded walk of a candidate's powers decides
+that and is the exp table; it also proves that the modulus gives a field,
+since only then does an element of that order exist.  Supported degrees
 are 1..8 (fields up to 6561 elements); everything is exact integer
 arithmetic.
 
@@ -28,7 +30,6 @@ import operator
 import numpy as np
 
 MAX_DEGREE = 8
-_CHUNK = 8  # primitive-element candidates tested per batch of matrix powers
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +121,6 @@ def trace_form(m: int) -> np.ndarray:
     return _read_only(np.array([p[i : i + m] for i in range(m)], dtype=np.int64))
 
 
-def _prime_factors(n: int) -> set[int]:
-    out, p = set(), 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _integer(x) -> int | None:
     """x as a Python int, or None for bools and non-integers.
 
@@ -171,7 +160,7 @@ class GF3m:
         self.m = m = _degree(m)
         self.q = 3**m
         self.modulus = smallest_irreducible(m)
-        self._exp, self._log = self._build_log_tables()
+        self.generator, self._exp, self._log = self._build_log_tables()
         self._tables: dict[str, np.ndarray] = {}
 
     def __repr__(self) -> str:
@@ -203,57 +192,46 @@ class GF3m:
     # -- log tables ------------------------------------------------------------
 
     def _build_log_tables(self):
-        """exp and log tables of the smallest primitive element g.
+        """The smallest primitive element g and the exp and log tables of its powers.
 
-        x -> g x is F_3-linear.  Its matrix has the digits of g x^i as
-        column i, and each column is the one before times the companion
-        matrix of the modulus.  The matrix of g^e is that matrix to the
-        power e, and its column 0 holds the digits of g^e.  g is primitive
-        iff g^((q-1)/p) != 1 for every prime p | q - 1; square-and-multiply
-        mod 3 decides that for _CHUNK candidates at a time.  exp and log
-        then walk the powers of g through the tabulated map.
+        x -> g x is F_3-linear: its matrix has the digits of g x^i as column
+        i, each column the one before times the companion matrix of the
+        modulus, and applied to every code it tabulates the map.  The walk
+        of the powers of g from 1, at most q - 1 steps, is the primitivity
+        test: g is primitive iff it first returns to 1 after exactly q - 1
+        steps, and then the walk is exp and log its inverse.  A candidate met
+        on the walk of an earlier one has an order dividing that one's and is
+        skipped.  F_3[x]/(f) has an element of order q - 1 iff f is
+        irreducible, so the walk also proves that the modulus gives a field;
+        ArithmeticError when no candidate is primitive.
         """
         m, n = self.m, self.q - 1
         place = 3 ** np.arange(m)
+        digits = np.arange(self.q)[:, None] // place % 3
         # column i of the companion matrix holds the digits of x x^i: a shift,
         # and x^m = -(f_0 + f_1 x + ... + f_(m-1) x^(m-1)) for the modulus f
         companion = np.array(
             [[int(r == i + 1) for i in range(m - 1)] + [-f % 3] for r, f in enumerate(self.modulus[:m])]
         )
-        exponents = [n // p for p in sorted(_prime_factors(n))]
-        for lo in range(2, self.q, _CHUNK):
-            candidates = np.arange(lo, min(lo + _CHUNK, self.q))
-            column = candidates[:, None] // place % 3
-            matrices = np.empty((len(candidates), m, m), dtype=np.int64)
-            for i in range(m):
-                matrices[:, :, i] = column
-                column = column @ companion.T % 3
-            square, powers = matrices, [None] * len(exponents)
-            for bit in range(max(exponents).bit_length()):
-                if bit:
-                    square = square @ square % 3
-                for i, e in enumerate(exponents):
-                    if e >> bit & 1:
-                        powers[i] = square if powers[i] is None else powers[i] @ square % 3
-            # column 0 of the matrix of h holds the digits of h
-            values = zip(*((power[:, :, 0] @ place).tolist() for power in powers))
-            primitive = [b for b, row in enumerate(values) if 1 not in row]
-            if primitive:
-                break
-        else:
-            raise RuntimeError("no primitive element found")  # unreachable
-        b = primitive[0]
-        # row i of the transposed matrix holds the digits of g 3^i
-        times = ((np.arange(self.q)[:, None] // place % 3) @ matrices[b].T % 3 @ place).tolist()
-        exp = [1] * n
-        log = [-1] * self.q
-        val = 1
-        for i in range(n):
-            exp[i] = val
-            log[val] = i
-            val = times[val]
-        self.generator = int(candidates[b])
-        return exp, log
+        seen = set()
+        for g in range(2, self.q):
+            if g in seen:
+                continue
+            columns = [digits[g]]
+            for _ in range(1, m):
+                columns.append(companion @ columns[-1] % 3)
+            times = (digits @ np.array(columns) % 3 @ place).tolist()
+            exp, power = [1], times[1]
+            while power != 1 and len(exp) < n:
+                exp.append(power)
+                power = times[power]
+            if power == 1 and len(exp) == n:
+                log = [-1] * self.q
+                for i, value in enumerate(exp):
+                    log[value] = i
+                return g, exp, log
+            seen.update(exp)
+        raise ArithmeticError(f"no element of order {n} modulo {self.modulus}: the modulus gives no field")
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -293,11 +271,14 @@ class GF3m:
 
     def pow(self, x: int, e: int) -> int:
         x = self._check(x)
+        k = e if type(e) is int else _integer(e)
+        if k is None:
+            raise ValueError(f"exponent {e!r} is not an integer")
         if x == 0:
-            if e < 0:
+            if k < 0:
                 raise ZeroDivisionError("0 has no negative powers")
-            return 0 if e else 1
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+            return 0 if k else 1
+        return self._exp[(self._log[x] * k) % (self.q - 1)]
 
     def frobenius(self, x: int) -> int:
         return self.pow(x, 3)

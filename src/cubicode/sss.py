@@ -87,9 +87,6 @@ def _class_representatives(k: int) -> np.ndarray:
     return msgs[msgs <= partners]
 
 
-_BLOCK = 128  # rows per block of the covering test
-
-
 def _census(code: TernaryCode):
     """The census on the projective points of the columns of G.
 
@@ -148,13 +145,11 @@ def _census(code: TernaryCode):
     # row j lies inside row i iff words_j & ~words_i is 0 in every word
     edges = [*(np.flatnonzero(weight[1:] != weight[:-1]) + 1).tolist(), len(reps)]
     for lo, hi in zip(edges, edges[1:]):
-        below = words[:, :lo]
-        for start in range(lo, hi, _BLOCK):
-            outside = ~words[:, start : min(start + _BLOCK, hi), None]
-            spill = below[0] & outside[0]
-            for word, out in zip(below[1:], outside[1:]):
-                spill |= word & out
-            covered[start : start + len(spill)] |= (spill == 0).any(axis=1)
+        outside = ~words[:, lo:hi, None]
+        spill = words[0, :lo] & outside[0]
+        for word, out in zip(words[1:, :lo], outside[1:]):
+            spill |= word & out
+        covered[lo:hi] |= (spill == 0).any(axis=1)
     minimal = np.empty(len(reps), dtype=bool)
     minimal[order] = ~covered
     holds = ab_condition(weight.tolist())

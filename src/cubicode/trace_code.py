@@ -112,7 +112,9 @@ def gray_positions(index: int, layout: str, n: int) -> tuple[int, int, int]:
     """Gray image positions of the triple at set position index, for |L| = n."""
     if layout == LAYOUT_INTERLEAVED:
         return (3 * index, 3 * index + 1, 3 * index + 2)
-    return (index, n + index, 2 * n + index)
+    if layout == LAYOUT_BLOCK:
+        return (index, n + index, 2 * n + index)
+    raise ValueError(f"unknown layout {layout!r}")
 
 
 # The nilpotent traces before reduction, t1 < 3, t2 < 5 and t3 < 7, keyed

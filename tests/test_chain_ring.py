@@ -80,6 +80,13 @@ def test_trace_agrees_with_frobenius_sum_and_commutes_with_u():
             assert R.trace(R.mul(R.u, x)) == R.mul(R.u, R.trace(x))
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("function", [defining_set_size, code_length])
+def test_sizes_need_a_positive_integer_m(function, bad):
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        function(bad, KIND_UNITS)
+
+
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("kind", (KIND_LPRIME, KIND_UNITS))
 def test_defining_set_shape(m, kind):

@@ -158,6 +158,10 @@ def test_element_codes_must_be_integers(bad):
                lambda x: F.mul(2, x), lambda x: F.add(x, 1), lambda x: F.pow(x, 2)):
         with pytest.raises(ValueError, match="is not an element code"):
             op(bad)
+    with pytest.raises(ValueError, match="exponent"):
+        F.pow(3, bad)
+    with pytest.raises(ValueError, match="exponent"):
+        F.pow(0, bad)
     with pytest.raises(ValueError, match="integer coefficients"):
         F.from_coeffs([bad, 1])
     with pytest.raises(ValueError, match="integer coefficients"):
@@ -174,6 +178,8 @@ def test_numpy_integer_codes_give_python_ints():
     assert F.mul(np.int8(5), np.uint64(5)) == F.mul(5, 5)
     assert type(F.add(np.int64(4), 8)) is int and F.add(np.int64(4), 8) == F.add(4, 8)
     assert F.neg(np.int32(7)) == F.neg(7)
+    power = F.pow(np.int64(5), np.int8(2))
+    assert power == F.pow(5, 2) and type(power) is int
     with pytest.raises(ValueError):
         F.coeffs(np.int64(9))
 
@@ -193,6 +199,16 @@ def test_degree_must_be_an_integer_in_range(function, bad):
     trace_form(2)
     with pytest.raises(ValueError, match="extension degree"):
         function(bad)
+
+
+# x^2, x^2 - 1 = (x - 1)(x + 1), x^3 + x + 1 (root 1) and (x^2 + 1)^2, which has no root
+@pytest.mark.parametrize("m,modulus", [(2, (0, 0, 1)), (2, (2, 0, 1)), (3, (1, 1, 0, 1)), (4, (1, 0, 2, 0, 1))])
+def test_a_reducible_modulus_is_refused(monkeypatch, m, modulus):
+    # no element of F_3[x]/(f) has order 3^m - 1 unless f is irreducible, and
+    # the bounded walk stops on the zero divisors, which never return to 1
+    monkeypatch.setattr(gf3m, "smallest_irreducible", lambda degree: modulus)
+    with pytest.raises(ArithmeticError, match="gives no field"):
+        GF3m(m)
 
 
 def test_irreducible_counts_per_degree():

@@ -56,6 +56,13 @@ def test_gray_image_layouts():
         assert gray_image(np.zeros((0, 2, 3), dtype=np.int8), layout).shape == (0, 6)
 
 
+def test_gray_positions_refuse_an_unknown_layout():
+    assert trace_code.gray_positions(1, "interleaved", 5) == (3, 4, 5)
+    assert trace_code.gray_positions(1, "block", 5) == (1, 6, 11)
+    with pytest.raises(ValueError, match="unknown layout 'nonsense'"):
+        trace_code.gray_positions(1, "nonsense", 5)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
 def test_code_shape_and_rank(spec):
     code = build_code(spec)
