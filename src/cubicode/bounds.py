@@ -186,20 +186,19 @@ class BoundsVerdict:
 def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
     """Full bounds verdict: Griesmer optimality plus the dual certificate.
 
-    The minimum distance comes from the closed-form distribution when one
-    is stated, else from exhaustive enumeration.  The dual certificate is
-    attached wherever G can be built, i.e. in the defining-set scope.
-    m above the closed-form scope is refused before any arithmetic.
+    The minimum distance comes from the closed-form distribution, whose
+    ValueError (lprime at m == 0 (mod 4) without extrapolate) is raised.
+    The dual certificate is attached wherever G can be built, i.e. in the
+    defining-set scope.  m above the closed-form scope is refused before
+    any arithmetic.
     """
-    from .weight_dist import auto_distribution
+    from .weight_dist import formula_distribution
 
     require_scope("closed form", spec.m)
     N = code_length(spec.m, spec.set_kind)
     K = 3 * spec.m
-    dist = auto_distribution(spec, extrapolate=extrapolate)
+    dist = formula_distribution(spec, extrapolate=extrapolate)
     notes = [dist.note] if dist.note else []
-    if dist.method == "enumerated":
-        notes.append("minimum distance obtained by exhaustive enumeration")
     d = dist.min_nonzero_weight
     report = griesmer(N, K, d)
     two_weight = spec.set_kind != KIND_LPRIME or spec.m % 2 == 1

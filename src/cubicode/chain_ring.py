@@ -40,7 +40,6 @@ SCOPE_MAX_M = {
     # structural checks (injectivity, group action, quasi-cyclic shift) and
     # the enumeration
     "defining set": 3,
-    "character sum": 2,
     "Gauss periods": 8,
     # formula and bounds: above this some exact output has more digits than
     # Python's default int-to-str limit (4300); units weights 2 * 3^{3m} do at m = 3004

@@ -41,7 +41,6 @@ from .sss import access_structure, massey_shares, minimality_report, reconstruct
 from .trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code, export_generators
 from .weight_dist import (
     WeightDistribution,
-    auto_distribution,
     charsum_distribution,
     distribution_csv,
     distribution_json,
@@ -81,18 +80,16 @@ REFERENCE_GRIESMER_TOTAL = {
 
 
 def _resolve_distribution(args, spec: CodeSpec) -> WeightDistribution | None:
-    """The distribution args.method asks for.
+    """The distribution args.method asks for; auto is the closed form.
 
     An enumeration is cross-checked against the closed form where one
     is stated; on disagreement an error line goes to stderr and None is
     returned, which the commands turn into exit status 1.
     """
-    if args.method == "formula":
-        return formula_distribution(spec, extrapolate=args.extrapolate)
     if args.method == "charsum":
         return charsum_distribution(spec)
     if args.method != "enumerate":
-        return auto_distribution(spec, extrapolate=args.extrapolate)
+        return formula_distribution(spec, extrapolate=args.extrapolate)
     dist = enumerate_distribution(spec, threads=args.threads)
     try:
         closed = formula_distribution(spec)

@@ -19,11 +19,10 @@ positions through gray_positions.
 
 Scalars are nilpotent indices and coordinates nilpotent triples.
 EvalContext is the one evaluator of ev(a), straight from the field's
-trace_mul_table; generators, enumeration, character sums and the
-structural checks all go through it.  It groups the coordinates by
-their leading pair (x1, x2): x3 enters Tr(a x) only through tr(a1 x3),
-which takes three values, so a Lee weight is counted per pair and
-trace value, not per coordinate.  evaluate, the per-coordinate ring
+trace_mul_table; generators, enumeration and the structural checks all
+go through it.  It groups the coordinates by their leading pair (x1, x2):
+x3 enters Tr(a x) only through tr(a1 x3), which takes three values, so a
+Lee weight is counted per pair and trace value, not per coordinate.  evaluate, the per-coordinate ring
 arithmetic on standard triples, is kept as the independent reference the
 tests compare EvalContext against.
 

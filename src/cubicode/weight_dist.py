@@ -1,4 +1,4 @@
-"""Lee weight distributions three independent ways, plus quadratic character sums.
+"""Lee weight distributions three independent ways, plus quadratic Gauss periods.
 
 With q = 3^m and size = 3^{3m} scalars, the closed forms are
 
@@ -15,13 +15,16 @@ The lprime pattern for m == 0 (mod 4) is unproven and refused unless
 explicitly extrapolated.  The enumeration path scores one scalar per
 orbit of L (scalar_orbits), 7 for lprime and 4 for units, against the
 whole defining set and counts its Lee weight with the orbit's size:
-ev(v a) permutes the coordinates of ev(a) for v in L.  The
-character-sum path recovers the weights of all 3^{3m} scalars in one
-bulk pass from sums of cube roots of unity over the Gray images via
+ev(v a) permutes the coordinates of ev(a) for v in L.
 
-    w = (2N - theta(a) - theta(2a)) / 3,
+The charsum path scores the same orbits with no field and no evaluator,
+by the column lemma: each Gray slot of ev(a) at x is a -> sum tr(a_i v_i)
+for a vector v(x), and as x runs over L each of the three v(x) runs once
+over V = {v in F^3 : v3 in X1}.  So wt(a) = 3 #{v in V : sum tr(a_i v_i)
+!= 0}, which is 2 |X1| q^2 when (a1, a2) != 0 and otherwise counts the
+y in a3 X1 with tr(y) != 0: integer trace counts over the squares, the
+nonsquares or F*, the same counts the Gauss periods are formed from.
 
-using that sum_{s=1,2} Theta(s y) = 2N - 3 wH(y) for any ternary vector y.
 Every produced distribution is checked against the two exact invariants
 sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
 """
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, allowed_x1, code_length, defining_set_generators, require_scope
+from .chain_ring import KIND_LPRIME, allowed_x1, code_length, defining_set_generators, require_scope
 from .gf3m import get_field, trace_form
 from .trace_code import CodeSpec, get_eval_context
 
@@ -138,34 +141,8 @@ def gauss_periods(m: int) -> GaussPeriods:
 
 def codeword_char_sum(spec: CodeSpec, scalars) -> np.ndarray:
     """theta(a) = sum_t #{j : y_j = t} omega^t over the Gray image y of ev(a), per scalar index a."""
-    require_scope("character sum", spec.m)
     words = get_eval_context(spec.m, spec.set_kind).trace_triples(scalars)
     return np.stack([(words == t).sum(axis=(1, 2)) for t in range(3)], axis=-1) @ _OMEGA
-
-
-def charsum_weights(spec: CodeSpec) -> np.ndarray:
-    """Lee weight of ev(a) for every scalar index, from theta(a) + theta(2a) in one pass.
-
-    2a = -a negates each nilpotent coordinate.  A weight 1e-6 or more off
-    an integer, or an imaginary part that large, raises ArithmeticError.
-    """
-    require_scope("character sum", spec.m)
-    F = get_field(spec.m)
-    q = F.q
-    neg = np.diagonal(F.add_table).astype(np.int64)  # -x = x + x
-    every = np.arange(q**3)
-    doubled = (neg[every // (q * q)] * q + neg[every // q % q]) * q + neg[every % q]
-    theta = codeword_char_sum(spec, every)
-    total = theta + theta[doubled]
-    w = (2 * code_length(spec.m, spec.set_kind) - total.real) / 3
-    nearest = np.rint(w)
-    bad = ~((np.abs(w - nearest) < 1e-6) & (np.abs(total.imag) < 1e-6))  # NaN is bad too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ArithmeticError(
-            f"character-sum weight {w[i]!r} is not an integer within 1e-6 (imag {total.imag[i]!r})"
-        )
-    return nearest.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +227,28 @@ def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistributi
 
 
 def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
-    """Distribution of the weights charsum_weights recovers from character sums."""
-    values, counts = np.unique(charsum_weights(spec), return_counts=True)
-    return _finish(Counter(dict(zip(values.tolist(), counts.tolist()))), spec, "charsum")
+    """Orbit weights from the Gauss period counts in integers, with the scalar_orbits sizes.
+
+    Each (c, 0, 0) and (0, c, 0) orbit weighs 2 |X1| q^2, and each
+    (0, 0, c) orbit 3 q^2 (|X1| - z) with z = #{y in c X1 : tr(y) = 0}.
+    c X1 is the squares or the nonsquares (lprime) or F* (units), so z
+    is the trace-0 entry of its _period_counts.  Counts of a class that
+    do not sum to |X1| raise ArithmeticError.  No field is built.
+    """
+    require_scope("Gauss periods", spec.m)
+    q = 3**spec.m
+    squares, nonsquares = _period_counts(spec.m)
+    classes = (squares, nonsquares) if spec.set_kind == KIND_LPRIME else (squares + nonsquares,)
+    x1 = (q - 1) // len(classes)
+    counts = Counter({0: 1})
+    for c in classes:
+        if c.sum() != x1:
+            raise ArithmeticError(
+                f"trace counts {tuple(c.tolist())} do not cover the {x1} elements of a class at m={spec.m}"
+            )
+        counts[2 * x1 * q * q] += x1 * (q * q + q)
+        counts[3 * q * q * (x1 - int(c[0]))] += x1
+    return _finish(counts, spec, "charsum")
 
 
 def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:
@@ -289,20 +285,6 @@ def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDis
         }
     counts = Counter(dict(sorted(entries.items())))
     return _finish(counts, spec, "formula", note)
-
-
-def auto_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:
-    """The closed form where one is stated, else enumeration within its scope.
-
-    Above the enumeration scope the closed form's refusal is raised, so
-    the error names the reason the formula did not apply.
-    """
-    try:
-        return formula_distribution(spec, extrapolate=extrapolate)
-    except ValueError:
-        if spec.m > SCOPE_MAX_M["defining set"]:
-            raise
-        return enumerate_distribution(spec)
 
 
 # ---------------------------------------------------------------------------

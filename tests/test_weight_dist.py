@@ -15,7 +15,6 @@ from cubicode.gf3m import get_field
 from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
-    charsum_weights,
     distribution_csv,
     distribution_json,
     enumerate_distribution,
@@ -23,7 +22,7 @@ from cubicode.weight_dist import (
     gauss_periods,
     scalar_orbits,
 )
-from ring_reference import scalar_from_index, scalar_weights, vector_char_sum
+from ring_reference import char_sum_weights, scalar_from_index, scalar_weights, vector_char_sum
 
 FROZEN = {
     ("lprime", 1): {0: 1, 18: 24, 27: 2},
@@ -381,7 +380,7 @@ def test_vector_char_sum():
 def test_char_sum_weight_equals_direct_weight_m1():
     for kind in ("lprime", "units"):
         spec = CodeSpec(m=1, set_kind=kind)
-        assert charsum_weights(spec).tolist() == scalar_weights(spec).tolist()
+        assert char_sum_weights(spec).tolist() == scalar_weights(spec).tolist()
 
 
 def test_codeword_char_sum_takes_an_array_of_indices():
@@ -398,25 +397,55 @@ def test_codeword_char_sum_takes_an_array_of_indices():
 def test_charsum_distribution_m2():
     spec = CodeSpec(m=2, set_kind="lprime")
     assert charsum_distribution(spec).entries == FROZEN[("lprime", 2)]
-    with pytest.raises(ValueError):
-        charsum_distribution(CodeSpec(m=3))
+    with pytest.raises(ValueError, match=r"^Gauss periods: supported for m <= 8, got m=9$"):
+        charsum_distribution(CodeSpec(m=9))
 
 
-def test_charsum_distribution_refuses_non_integral_sums(monkeypatch):
-    original = weight_dist.codeword_char_sum
-    monkeypatch.setattr(weight_dist, "codeword_char_sum", lambda spec, s: original(spec, s) + 0.1)
+@pytest.mark.parametrize("kind", ["lprime", "units"])
+def test_charsum_equals_enumeration_and_the_extrapolated_formula(kind):
+    for m in range(1, 9):
+        spec = CodeSpec(m=m, set_kind=kind)
+        dist = charsum_distribution(spec)
+        assert dist.method == "charsum"
+        assert dist.entries == formula_distribution(spec, extrapolate=True).entries
+        if m <= 3:
+            assert dist.entries == enumerate_distribution(spec).entries
+
+
+def test_charsum_builds_no_field_and_no_evaluator(monkeypatch):
+    specs = [CodeSpec(m=m, set_kind=kind) for m in (1, 3, 4) for kind in ("lprime", "units")]
+    want = [formula_distribution(spec, extrapolate=True).entries for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("the charsum route must not build a field or an evaluator")
+
+    monkeypatch.setattr(weight_dist, "get_field", refuse)
+    monkeypatch.setattr(weight_dist, "get_eval_context", refuse)
+    assert [charsum_distribution(spec).entries for spec in specs] == want
+
+
+@pytest.mark.parametrize("t", range(3))
+@pytest.mark.parametrize("side", range(2))
+@pytest.mark.parametrize("kind,m", [("lprime", 1), ("units", 1), ("lprime", 4), ("units", 5)])
+def test_charsum_distribution_checks_the_period_counts(monkeypatch, kind, m, side, t):
+    counts = [c.copy() for c in weight_dist._period_counts(m)]
+    counts[side][t] += 1
+    monkeypatch.setattr(weight_dist, "_period_counts", lambda _: tuple(counts))
     with pytest.raises(ArithmeticError):
-        charsum_distribution(CodeSpec(m=1))
+        charsum_distribution(CodeSpec(m=m, set_kind=kind))
 
 
-def test_charsum_integrality_check_holds_under_optimize():
+def test_charsum_period_count_check_holds_under_optimize():
     script = """
 from cubicode import weight_dist
 from cubicode.trace_code import CodeSpec
 print("debug", __debug__)
-original = weight_dist.codeword_char_sum
-for shift in (0.1, 0.1j):
-    weight_dist.codeword_char_sum = lambda spec, s, d=shift: original(spec, s) + d
+original = weight_dist._period_counts
+for t in (0, 1):
+    squares, nonsquares = original(1)
+    squares = squares.copy()
+    squares[t] += 1
+    weight_dist._period_counts = lambda _, w=(squares, nonsquares): w
     try:
         weight_dist.charsum_distribution(CodeSpec(m=1))
     except ArithmeticError:
