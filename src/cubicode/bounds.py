@@ -78,36 +78,28 @@ def closed_form_sum_d_plus_1(m: int, kind: str) -> tuple[tuple[int, ...], int]:
     Applies to the two-weight families, whose minimum distance is
     d = 3^{3m} - 3^{2m} (lprime, m odd) or twice that (units, any m).
 
-    lprime: d + 1 = 3^{3m} - 3^{2m} + 1, and ceil((d+1)/3^j) equals
-    3^{3m-j} - 3^{2m-j} + 1 for j <= 2m, then 3^{3m-j}; the total is
-    N + 2m.  units: d + 1 = 2(3^{3m} - 3^{2m}) + 1, the terms are
-    2(3^{3m-j} - 3^{2m-j}) + 1 for j <= 2m, then 2 * 3^{3m-j}; the total
-    collapses to N + 2m - 1, one lower than lprime relative to N, because
-    the doubled geometric tails absorb an extra unit.  Both totals are
-    checked against griesmer_sum.
+    With c = 1 (lprime) or 2 (units), d + 1 = c(3^{3m} - 3^{2m}) + 1, and
+    ceil((d+1)/3^j) equals c(3^{3m-j} - 3^{2m-j}) + 1 for j <= 2m, then
+    c 3^{3m-j}.  The total is N + 2m for lprime and N + 2m - 1 for units,
+    one lower relative to N because the doubled geometric tails absorb an
+    extra unit.  The total is checked against griesmer_sum.  ValueError
+    on the m or kind code_length refuses, and for lprime at even m, which
+    is three-weight.
     """
+    code_length(m, kind)  # ValueError unless m is a positive int and kind a known kind
+    if kind == KIND_LPRIME and m % 2 == 0:
+        raise ValueError(
+            "the lprime family is two-weight only for odd m; even m has a "
+            "smaller minimum distance and no closed-form expansion here"
+        )
+    c = 1 if kind == KIND_LPRIME else 2
     K = 3 * m
-    if kind == KIND_LPRIME:
-        if m % 2 == 0:
-            raise ValueError(
-                "the lprime family is two-weight only for odd m; even m has a "
-                "smaller minimum distance and no closed-form expansion here"
-            )
-        d1 = 3 ** (3 * m) - 3 ** (2 * m) + 1
-        terms = tuple(
-            3 ** (3 * m - j) - 3 ** (2 * m - j) + 1 if j <= 2 * m else 3 ** (3 * m - j)
-            for j in range(K)
-        )
-    else:
-        d1 = 2 * (3 ** (3 * m) - 3 ** (2 * m)) + 1
-        terms = tuple(
-            2 * (3 ** (3 * m - j) - 3 ** (2 * m - j)) + 1
-            if j <= 2 * m
-            else 2 * 3 ** (3 * m - j)
-            for j in range(K)
-        )
+    terms = tuple(
+        c * (3 ** (3 * m - j) - 3 ** (2 * m - j)) + 1 if j <= 2 * m else c * 3 ** (3 * m - j)
+        for j in range(K)
+    )
     total = sum(terms)
-    if total != griesmer_sum(K, d1):
+    if total != griesmer_sum(K, c * (3 ** (3 * m) - 3 ** (2 * m)) + 1):
         raise ArithmeticError("per-term expansion disagrees with the direct Griesmer sum")
     return terms, total
 
@@ -183,29 +175,29 @@ class BoundsVerdict:
     notes: tuple[str, ...]
 
 
-def verdict(spec: CodeSpec, extrapolate: bool = False) -> BoundsVerdict:
+def verdict(spec: CodeSpec) -> BoundsVerdict:
     """Full bounds verdict: Griesmer optimality plus the dual certificate.
 
-    The minimum distance comes from the closed-form distribution, whose
-    ValueError (lprime at m == 0 (mod 4) without extrapolate) is raised.
-    The dual certificate is attached wherever G can be built, i.e. in the
-    defining-set scope.  m above the closed-form scope is refused before
-    any arithmetic.
+    The minimum distance comes from the closed-form distribution, which
+    answers at every m of its scope, so m above that scope is refused
+    before any arithmetic.  An optimal code with two nonzero weights also
+    checks the closed-form Griesmer total at d + 1.  The dual
+    certificate is attached wherever G can be built, i.e. in the
+    defining-set scope.
     """
     from .weight_dist import formula_distribution
 
     require_scope("closed form", spec.m)
     N = code_length(spec.m, spec.set_kind)
     K = 3 * spec.m
-    dist = formula_distribution(spec, extrapolate=extrapolate)
-    notes = [dist.note] if dist.note else []
+    dist = formula_distribution(spec)
     d = dist.min_nonzero_weight
     report = griesmer(N, K, d)
-    two_weight = spec.set_kind != KIND_LPRIME or spec.m % 2 == 1
-    if report.optimal and two_weight:
+    if report.optimal and len(dist.entries) == 3:
         _, closed_total = closed_form_sum_d_plus_1(spec.m, spec.set_kind)
         if closed_total != report.sum_at_d_plus_1:
             raise ArithmeticError("closed-form Griesmer total disagrees with the direct sum")
+    notes = []
     if spec.m <= SCOPE_MAX_M["defining set"]:
         dual = dual_weight_search(spec)
         dual_distance: int | None = dual.distance

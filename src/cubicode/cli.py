@@ -82,20 +82,16 @@ REFERENCE_GRIESMER_TOTAL = {
 def _resolve_distribution(args, spec: CodeSpec) -> WeightDistribution | None:
     """The distribution args.method asks for; auto is the closed form.
 
-    An enumeration is cross-checked against the closed form where one
-    is stated; on disagreement an error line goes to stderr and None is
-    returned, which the commands turn into exit status 1.
+    An enumeration is cross-checked against the closed form; on
+    disagreement an error line goes to stderr and None is returned,
+    which the commands turn into exit status 1.
     """
     if args.method == "charsum":
         return charsum_distribution(spec)
     if args.method != "enumerate":
-        return formula_distribution(spec, extrapolate=args.extrapolate)
+        return formula_distribution(spec)
     dist = enumerate_distribution(spec, threads=args.threads)
-    try:
-        closed = formula_distribution(spec)
-    except ValueError:
-        return dist
-    if closed.entries != dist.entries:
+    if formula_distribution(spec).entries != dist.entries:
         print("error: enumeration disagrees with the closed form", file=sys.stderr)
         return None
     return dist
@@ -112,8 +108,6 @@ def _distribution_text(spec: CodeSpec, dist: WeightDistribution) -> str:
         f"ternary image [{N}, {3 * spec.m}] (m={spec.m}, set={spec.set_kind}), "
         f"method={dist.method}"
     ]
-    if dist.note:
-        lines.append(f"note: {dist.note}")
     width = max(len(str(w)) for w in dist.entries)
     fwidth = max(len(str(f)) for f in dist.entries.values())
     lines.append(f"  {'weight'.rjust(width + 6)}  {'frequency'.rjust(fwidth + 9)}")
@@ -153,7 +147,7 @@ def cmd_weights(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
-    v = verdict(spec, extrapolate=args.extrapolate)
+    v = verdict(spec)
     if args.output == "json":
         sys.stdout.write(json.dumps(verdict_json(v), indent=2) + "\n")
         return 0
@@ -485,17 +479,15 @@ _CODE = (
 _LAYOUT = ("--layout", {"choices": LAYOUTS, "default": "interleaved"})
 _METHOD = ("--method", {"choices": ("auto", "enumerate", "formula", "charsum"), "default": "auto"})
 _THREADS = ("--threads", {"type": positive_int, "default": 1, "help": THREADS_HELP})
-_EXTRAPOLATE = ("--extrapolate", {"action": "store_true"})
 _OUTPUT = ("--output", {"choices": ("text", "json"), "default": "text"})
 
 # subcommand name: (help, handler, its arguments in help order)
 COMMANDS = {
     "weights": ("Lee weight distribution", cmd_weights, (
         *_CODE, _METHOD, _THREADS,
-        ("--extrapolate", {"action": "store_true", "help": "emit unproven closed forms"}),
         ("--output", {"choices": ("text", "json", "csv"), "default": "text"}),
     )),
-    "bounds": ("Griesmer verdict and dual certificate", cmd_bounds, (*_CODE, _EXTRAPOLATE, _OUTPUT)),
+    "bounds": ("Griesmer verdict and dual certificate", cmd_bounds, (*_CODE, _OUTPUT)),
     "dual": ("dual-distance certificate", cmd_dual, (*_CODE, _LAYOUT, _OUTPUT)),
     "sss": ("secret sharing access structure", cmd_sss, (
         *_CODE, _LAYOUT,
@@ -505,7 +497,7 @@ COMMANDS = {
     "export": ("write generators or a distribution", cmd_export, (
         *_CODE, _LAYOUT,
         ("--format", {"choices": ("generators", "csv", "json", "access"), "default": "generators"}),
-        _METHOD, _THREADS, _EXTRAPOLATE,
+        _METHOD, _THREADS,
         ("--out", {"default": "-", "help": "output path, '-' for stdout"}),
     )),
     "verify-paper": ("replay documented reference results", cmd_verify, (

@@ -4,15 +4,15 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
 
     lprime, m odd:
         {0: 1,  3^{3m} - 3^{2m}: 3^{3m} - 3^m,  3^{3m}: 3^m - 1}
-    lprime, m == 2 (mod 4):
+    lprime, m even:
         {0: 1,  3^{3m} - 3^{5m/2}: (3^m - 1)/2,
                 3^{3m} - 3^{2m}:   3^{3m} - 3^m,
                 3^{3m} + 3^{5m/2}: (3^m - 1)/2}
     units, any m:
         {0: 1,  2(3^{3m} - 3^{2m}): 3^{3m} - 3^m,  2 * 3^{3m}: 3^m - 1}
 
-The lprime pattern for m == 0 (mod 4) is unproven and refused unless
-explicitly extrapolated.  The enumeration path scores one scalar per
+formula_distribution proves them from the column lemma below and the
+quadratic Gauss sum.  The enumeration path scores one scalar per
 orbit of L (scalar_orbits), 7 for lprime and 4 for units, against the
 whole defining set and counts its Lee weight with the orbit's size:
 ev(v a) permutes the coordinates of ev(a) for v in L.
@@ -156,7 +156,6 @@ class WeightDistribution:
     entries: dict[int, int]
     total: int
     method: str  # 'enumerated' | 'formula' | 'charsum'
-    note: str | None = None
 
     @property
     def min_nonzero_weight(self) -> int:
@@ -173,12 +172,10 @@ def _validate(entries: dict[int, int], m: int, kind: str) -> None:
         raise ArithmeticError("first moment identity violated")
 
 
-def _finish(counts: Counter, spec: CodeSpec, method: str, note: str | None = None):
+def _finish(counts: Counter, spec: CodeSpec, method: str):
     entries = {int(w): int(counts[w]) for w in sorted(counts)}
     _validate(entries, spec.m, spec.set_kind)
-    return WeightDistribution(
-        entries=entries, total=3 ** (3 * spec.m), method=method, note=note
-    )
+    return WeightDistribution(entries=entries, total=3 ** (3 * spec.m), method=method)
 
 
 def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -251,40 +248,36 @@ def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
     return _finish(counts, spec, "charsum")
 
 
-def formula_distribution(spec: CodeSpec, extrapolate: bool = False) -> WeightDistribution:
-    """Closed-form distribution for the supported (m, kind) combinations."""
+def formula_distribution(spec: CodeSpec) -> WeightDistribution:
+    """The closed forms of the module docstring, proven at every m.
+
+    By the column lemma each (c, 0, 0) and (0, c, 0) orbit weighs
+    2 |X1| q^2, and each (0, 0, c) orbit holds |X1| scalars and weighs
+    3 q^2 (|X1| - z), z the number of trace-0 elements in the class c X1
+    (charsum_distribution).  Units: the class is F*, z = q/3 - 1, so the
+    weight is 2 q^3.  lprime: |X1| = (q - 1)/2 and the classes are the
+    squares and the nonsquares.  By the quadratic Gauss sum G (Lidl and
+    Niederreiter, Finite Fields, Thm 5.15) the squares have
+    z = (q - 3 + 2 Re G)/6 and the nonsquares the same with -G.  For odd
+    m, G is imaginary, so both classes weigh q^3.  For even m,
+    G = +-3^{m/2}, so the classes weigh q^2 (q -+ G) = 3^{3m} -+ 3^{5m/2}.
+    The sign of G (+ at m == 2, - at m == 0 mod 4) only swaps which class
+    gets which weight, and both orbits hold (q - 1)/2 scalars, so the
+    distribution is the same at every even m.  ValueError above the
+    closed-form scope.
+    """
     require_scope("closed form", spec.m)
     m = spec.m
     size = 3 ** (3 * m)
     q = 3**m
-    note = None
-    if spec.set_kind == KIND_LPRIME:
-        if m % 2 == 1:
-            entries = {0: 1, size - 3 ** (2 * m): size - q, size: q - 1}
-        elif m % 4 == 2 or extrapolate:
-            half = 3 ** (5 * m // 2)
-            entries = {
-                0: 1,
-                size - half: (q - 1) // 2,
-                size - 3 ** (2 * m): size - q,
-                size + half: (q - 1) // 2,
-            }
-            if m % 4 == 0:
-                note = "unverified extrapolation"
-        else:
-            raise ValueError(
-                "the closed form for the lprime family is stated only for m odd or "
-                "m == 2 (mod 4); pass --extrapolate (extrapolate=True) to emit the "
-                "unproven pattern"
-            )
+    if spec.set_kind != KIND_LPRIME:
+        entries = {0: 1, 2 * (size - 3 ** (2 * m)): size - q, 2 * size: q - 1}
+    elif m % 2 == 1:
+        entries = {0: 1, size - 3 ** (2 * m): size - q, size: q - 1}
     else:
-        entries = {
-            0: 1,
-            2 * (size - 3 ** (2 * m)): size - q,
-            2 * size: q - 1,
-        }
-    counts = Counter(dict(sorted(entries.items())))
-    return _finish(counts, spec, "formula", note)
+        half = 3 ** (5 * m // 2)
+        entries = {0: 1, size - half: (q - 1) // 2, size - 3 ** (2 * m): size - q, size + half: (q - 1) // 2}
+    return _finish(Counter(entries), spec, "formula")
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +291,8 @@ def distribution_csv(dist: WeightDistribution) -> str:
 
 
 def distribution_json(dist: WeightDistribution) -> dict:
-    out = {
+    return {
         "entries": {str(w): f for w, f in sorted(dist.entries.items())},
         "total": dist.total,
         "method": dist.method,
     }
-    if dist.note:
-        out["note"] = dist.note
-    return out

@@ -58,6 +58,32 @@ def test_closed_form_refuses_even_m_lprime():
         closed_form_sum_d_plus_1(2, "lprime")
 
 
+@pytest.mark.parametrize("m, kind", ((1, "bogus"), (0, "units"), (0, "lprime"), (True, "units"), (True, "lprime")))
+def test_closed_form_refuses_a_bad_m_or_kind(m, kind):
+    with pytest.raises(ValueError):
+        closed_form_sum_d_plus_1(m, kind)
+
+
+def test_closed_form_terms_and_totals_as_two_separate_expansions():
+    # the per-family expansions the single c-scaled expression replaced
+    def expansion(m, kind):
+        if kind == "lprime":
+            return tuple(
+                3 ** (3 * m - j) - 3 ** (2 * m - j) + 1 if j <= 2 * m else 3 ** (3 * m - j)
+                for j in range(3 * m)
+            )
+        return tuple(
+            2 * (3 ** (3 * m - j) - 3 ** (2 * m - j)) + 1 if j <= 2 * m else 2 * 3 ** (3 * m - j)
+            for j in range(3 * m)
+        )
+
+    for kind, degrees in (("units", range(1, 13)), ("lprime", range(1, 13, 2))):
+        for m in degrees:
+            terms, total = closed_form_sum_d_plus_1(m, kind)
+            assert terms == expansion(m, kind)
+            assert total == sum(terms)
+
+
 def test_sphere_packing():
     # the [13, 10] ternary Hamming code is perfect: equality holds
     assert sphere_packing_t1(13, 10)

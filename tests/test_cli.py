@@ -10,7 +10,7 @@ import pytest
 import cubicode
 from cubicode.cli import build_claims, build_parser, main
 from cubicode.trace_code import CodeSpec
-from cubicode.weight_dist import formula_distribution
+from cubicode.weight_dist import charsum_distribution, formula_distribution
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
 
@@ -74,9 +74,6 @@ def test_weights_charsum_method(capsys):
 
 
 def test_weights_guard_exit_2(capsys):
-    code, _, err = run(capsys, "weights", "--m", "4", "--set", "lprime")
-    assert code == 2
-    assert "error:" in err
     code, _, err = run(capsys, "weights", "--m", "9", "--method", "charsum")
     assert code == 2
     assert err == "error: Gauss periods: supported for m <= 8, got m=9\n"
@@ -89,7 +86,7 @@ def test_weights_charsum_answers_up_to_m8(capsys, kind, m):
         capsys, "weights", "--m", str(m), "--set", kind, "--method", "charsum", "--output", "json"
     )
     assert code == 0
-    want = formula_distribution(CodeSpec(m=m, set_kind=kind), extrapolate=True).entries
+    want = formula_distribution(CodeSpec(m=m, set_kind=kind)).entries
     assert json.loads(out)["entries"] == {str(w): f for w, f in want.items()}
 
 
@@ -136,22 +133,34 @@ def test_closed_form_cap_keeps_every_printable_answer(capsys):
         assert max(len(w) for w in json.loads(out)["entries"]) == 4299
 
 
-def test_lprime_refusal_names_the_extrapolate_flag(capsys):
-    code, out, err = run(capsys, "weights", "--m", "4", "--set", "lprime")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: the closed form for the lprime family is stated only for m odd or "
-        "m == 2 (mod 4); pass --extrapolate (extrapolate=True) to emit the "
-        "unproven pattern\n"
-    )
+def test_weights_m3000_lprime_prints_every_weight(capsys):
+    # 3000 == 0 (mod 4) lies just under the closed-form cap: all four weights print
+    code, out, _ = run(capsys, "weights", "--m", "3000", "--set", "lprime", "--output", "json")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 4
+    assert sum(entries.values()) == 3**9000
+
+
+@pytest.mark.parametrize("m", (4, 8))
+def test_lprime_multiple_of_four_answers_on_every_route(capsys, m):
+    spec = CodeSpec(m=m, set_kind="lprime")
+    want = {str(w): f for w, f in charsum_distribution(spec).entries.items()}
+    for method in ("formula", "auto"):
+        for argv in (("weights", "--output", "json"), ("export", "--format", "json")):
+            code, out, _ = run(capsys, *argv, "--m", str(m), "--set", "lprime", "--method", method)
+            assert code == 0
+            assert json.loads(out) == {"entries": want, "total": 3 ** (3 * m), "method": "formula"}
+    code, out, _ = run(capsys, "bounds", "--m", str(m), "--set", "lprime", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["d"] == 3 ** (3 * m) - 3 ** (5 * m // 2)
 
 
 @pytest.mark.parametrize(
     "argv",
     (
         ("weights", "--m", "1", "--set", "units", "--output", "json"),
-        ("weights", "--m", "4", "--set", "lprime"),
+        ("weights", "--m", "9", "--method", "charsum"),  # a refusal, exit 2
     ),
 )
 def test_python_dash_m_runs_the_cli(capsys, argv):
@@ -169,15 +178,6 @@ def test_python_dash_m_parses_sys_argv(capsys, monkeypatch, argv, status):
     proc = python_dash_m(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
     assert outcome[0] == status
-
-
-def test_weights_extrapolate(capsys):
-    code, out, _ = run(
-        capsys, "weights", "--m", "4", "--set", "lprime", "--extrapolate",
-        "--output", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["note"] == "unverified extrapolation"
 
 
 def test_bounds_json(capsys):
@@ -364,21 +364,22 @@ HELP_AND_USAGE_ERRORS = (
     ("sss", "--m", "1", "--seed", "3", "-x"),
     ("export", "--m", "1", "--out", "-", "extra"),
     ("verify-paper", "extra"),
+    ("weights", "--m", "4", "--extrapolate"),
 )
 
 # argv that the full parser accepts, with --opt=value forms and abbreviated options
 VALID_ARGV = (
     ("weights", "--m", "1"),
     ("weights", "--m=2", "--set=units", "--method=charsum", "--output=csv"),
-    ("weights", "--m", "3", "--meth", "enumerate", "--thr", "2", "--extra", "--out", "json"),
-    ("bounds", "--m", "2", "--set", "units", "--extrapolate", "--output", "json"),
+    ("weights", "--m", "3", "--meth", "enumerate", "--thr", "2", "--out", "json"),
+    ("bounds", "--m", "2", "--set", "units", "--output", "json"),
     ("bounds", "--m=1", "--out=json"),
     ("dual", "--m", "1", "--layout", "block"),
     ("dual", "--lay=block", "--m", "2", "--output", "json"),
     ("sss", "--m", "2", "--seed", "-3", "--out", "json"),
     ("sss", "--m", "1", "--set", "lprime", "--layout=interleaved"),
     ("export", "--m", "1", "--format", "csv", "--out", "weights.csv"),
-    ("export", "--m=1", "--form", "access", "--method=formula", "--threads=2", "--extrapolate"),
+    ("export", "--m=1", "--form", "access", "--method=formula", "--threads=2"),
     ("verify-paper",),
     ("verify-paper", "--output", "json", "--threads", "1"),
     ("verify-paper", "--inc", "--out=json", "--thr=2"),

@@ -10,6 +10,7 @@ import pytest
 
 import cubicode
 from cubicode import weight_dist
+from cubicode.bounds import verdict
 from cubicode.chain_ring import allowed_x1, code_length, defining_set, get_ring
 from cubicode.gf3m import get_field
 from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
@@ -155,6 +156,7 @@ def test_enumeration_refuses_x1_that_is_not_a_subgroup(monkeypatch):
 def test_subgroup_guard_holds_under_optimize():
     script = """
 from cubicode import weight_dist
+from cubicode.bounds import verdict
 from cubicode.trace_code import CodeSpec
 print("debug", __debug__)
 weight_dist.allowed_x1 = lambda field, kind: (1, 3)
@@ -199,15 +201,31 @@ def test_formula_m3_two_weight_shapes():
     assert un == {0: 1, 37908: 19656, 39366: 26}
 
 
-def test_lprime_multiple_of_four_refused_without_extrapolation():
-    spec = CodeSpec(m=4, set_kind="lprime")
-    with pytest.raises(ValueError):
-        formula_distribution(spec)
-    dist = formula_distribution(spec, extrapolate=True)
-    assert dist.note == "unverified extrapolation"
+@pytest.mark.parametrize("m", (4, 8))
+def test_lprime_multiple_of_four_answers(m):
+    spec = CodeSpec(m=m, set_kind="lprime")
+    dist = formula_distribution(spec)
+    assert dist.entries == charsum_distribution(spec).entries
     assert len(dist.entries) == 4
-    # units are proven for every m: no refusal, no note
-    assert formula_distribution(CodeSpec(m=4, set_kind="units")).note is None
+    assert "note" not in distribution_json(dist)
+    assert verdict(spec).d == dist.min_nonzero_weight == 3 ** (3 * m) - 3 ** (5 * m // 2)
+
+
+def test_both_signs_of_the_gauss_sum_give_one_even_m_distribution():
+    # the proof in formula_distribution, in integers: the squares and the
+    # nonsquares have z = (q - 3 +- 2G)/6 trace-0 elements, G = +-3^{m/2}
+    for m in range(2, 201, 2):
+        q = 3**m
+        x1 = (q - 1) // 2
+        weights = []
+        for g in (3 ** (m // 2), -(3 ** (m // 2))):
+            zs = [(q - 3 + 2 * sign * g) // 6 for sign in (1, -1)]
+            assert [(q - 3 + 2 * sign * g) % 6 for sign in (1, -1)] == [0, 0]
+            weights.append(sorted(3 * q * q * (x1 - z) for z in zs))
+        assert weights[0] == weights[1]
+        low, high = weights[0]
+        expected = {0: 1, low: x1, q**3 - q**2: q**3 - q, high: x1}
+        assert formula_distribution(CodeSpec(m=m, set_kind="lprime")).entries == expected
 
 
 @pytest.mark.parametrize("kind", ("lprime", "units"))
@@ -223,7 +241,7 @@ def test_orbit_weights_equal_the_closed_form_m4(kind):
     counts: dict[int, int] = {}
     for w, size in zip(EvalContext(4, coords).lee_weights(reps).tolist(), sizes):
         counts[w] = counts.get(w, 0) + size
-    assert counts == formula_distribution(CodeSpec(4, kind), extrapolate=True).entries
+    assert counts == formula_distribution(CodeSpec(4, kind)).entries
 
 
 def test_enumeration_guard():
@@ -349,6 +367,7 @@ def test_gauss_periods_check_the_sign_of_odd_periods(monkeypatch, m):
 def test_exact_period_check_holds_under_optimize():
     script = """
 from cubicode import weight_dist
+from cubicode.bounds import verdict
 print("debug", __debug__)
 original = weight_dist._period_counts
 for m, change in ((2, (1, 1, -2)), (3, (0, 1, -1))):
@@ -407,14 +426,14 @@ def test_charsum_equals_enumeration_and_the_extrapolated_formula(kind):
         spec = CodeSpec(m=m, set_kind=kind)
         dist = charsum_distribution(spec)
         assert dist.method == "charsum"
-        assert dist.entries == formula_distribution(spec, extrapolate=True).entries
+        assert dist.entries == formula_distribution(spec).entries
         if m <= 3:
             assert dist.entries == enumerate_distribution(spec).entries
 
 
 def test_charsum_builds_no_field_and_no_evaluator(monkeypatch):
     specs = [CodeSpec(m=m, set_kind=kind) for m in (1, 3, 4) for kind in ("lprime", "units")]
-    want = [formula_distribution(spec, extrapolate=True).entries for spec in specs]
+    want = [formula_distribution(spec).entries for spec in specs]
 
     def refuse(*args):
         raise AssertionError("the charsum route must not build a field or an evaluator")
@@ -438,6 +457,7 @@ def test_charsum_distribution_checks_the_period_counts(monkeypatch, kind, m, sid
 def test_charsum_period_count_check_holds_under_optimize():
     script = """
 from cubicode import weight_dist
+from cubicode.bounds import verdict
 from cubicode.trace_code import CodeSpec
 print("debug", __debug__)
 original = weight_dist._period_counts
