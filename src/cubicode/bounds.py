@@ -37,10 +37,17 @@ from .trace_code import CodeSpec, build_code, gray_positions
 
 
 def griesmer_sum(K: int, d: int) -> int:
-    """sum_{j=0}^{K-1} ceil(d / 3^j)."""
+    """sum_{j=0}^{K-1} ceil(d / 3^j), each term the ceiling of the last over 3.
+
+    ceil(ceil(d / 3^j) / 3) = ceil(d / 3^{j+1}), so no power of 3 is formed.
+    """
     if K < 1 or d < 1:
         raise ValueError("K and d must be positive")
-    return sum(-(-d // 3**j) for j in range(K))
+    total, term = 0, d
+    for _ in range(K):
+        total += term
+        term = -(-term // 3)
+    return total
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive,
 # materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    # materialized as an (|L|, 3) array; bounds G, the dual certificate, the
+    # evaluated over its grid X1 x F x F (and materialized as an (|L|, 3)
+    # array for the group action); bounds G, the dual certificate, the
     # structural checks (injectivity, group action, quasi-cyclic shift) and
     # the enumeration
     "defining set": 3,
@@ -162,8 +163,15 @@ class DefiningSet:
 
 
 def allowed_x1(field: GF3m, kind: str) -> tuple[int, ...]:
-    """The first nilpotent coordinates of L, ascending: nonzero squares (lprime) or F^*."""
-    return field.squares() if kind == KIND_LPRIME else tuple(range(1, field.q))
+    """The first nilpotent coordinates of L, ascending: nonzero squares (lprime) or F^*.
+
+    The one map from a kind to X1; ValueError on an unknown kind.
+    """
+    if kind == KIND_LPRIME:
+        return field.squares()
+    if kind == KIND_UNITS:
+        return tuple(range(1, field.q))
+    raise ValueError(f"unknown defining set kind {kind!r}")
 
 
 def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
@@ -201,8 +209,6 @@ def defining_set(m: int, kind: str) -> DefiningSet:
     The (|X1|, q, q, 3) grid of nilpotent triples is written by
     broadcasting into one read-only (|L|, 3) int64 array.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown defining set kind {kind!r}")
     require_scope("defining set", m)
     F = get_field(m)
     q = F.q

@@ -20,9 +20,11 @@ positions through gray_positions.
 Scalars are nilpotent indices and coordinates nilpotent triples.
 EvalContext is the one evaluator of ev(a), straight from the field's
 trace_mul_table; generators, enumeration and the structural checks all
-go through it.  It groups the coordinates by their leading pair (x1, x2):
-x3 enters Tr(a x) only through tr(a1 x3), which takes three values, so a
-Lee weight is counted per pair and trace value, not per coordinate.  evaluate, the per-coordinate ring
+go through it.  It evaluates over the defining set's grid L = X1 x F x F
+in canonical order and holds only the x1 values: x3 enters Tr(a x) only
+through tr(a1 x3), which takes three values, and every leading pair
+(x1, x2) has its whole x3 fiber, so a Lee weight is counted per pair and
+trace value, not per coordinate.  evaluate, the per-coordinate ring
 arithmetic on standard triples, is kept as the independent reference the
 tests compare EvalContext against.
 
@@ -129,19 +131,16 @@ _LEE.flags.writeable = False
 _LEE_FROM = np.lib.stride_tricks.sliding_window_view(_LEE, 3)
 
 
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values in [0, size), ascending, and the rank of each value among them."""
-    present = np.bincount(values, minlength=size) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
-
-
 class EvalContext:
-    """Bulk evaluation of Tr(a x) over a fixed coordinate set.
+    """Bulk evaluation of Tr(a x) over the grid x1 x F x F.
 
     Scalars are indexed in nilpotent coordinates,
     index = (a1 * q + a2) * q + a3 for a = a1 + a2 (u-1) + a3 (u-1)^2,
-    and the coordinates held as nilpotent triples (x1, x2, x3), integers
-    in [0, q).  The ring trace acts componentwise there, so with T the
+    and the coordinates are the nilpotent triples (x1, x2, x3) with x1
+    running through the given x1 values, in their order, then x2 and x3
+    through [0, q): n = |x1| q^2 coordinates.  A defining set is such a
+    grid, with X1 the nonzero squares or F^* (get_eval_context).  The
+    ring trace acts componentwise in nilpotent coordinates, so with T the
     field's trace_mul_table the nilpotent traces of a x, the ring product,
     are, before reduction mod 3,
 
@@ -156,85 +155,64 @@ class EvalContext:
 
     lies in [0, 105), and a word is one lookup per coordinate in a
     105-row table of trits, _TRITS; _LEE counts their nonzero entries.
-    Only the last term depends on x3, and only through a1, so the
-    coordinates are grouped by their leading pair (x1, x2): p1 and p2 hold
-    the P distinct pairs present, pair and x3 each coordinate's pair index
-    and last coordinate, and multiplicity the int64 (P, q) matrix W with
-    W[p, v] the number of coordinates (p1[p], p2[p], v).  A defining set
-    has P = |X1| q = |L| / q and W all ones.  Every array is an owned,
-    read-only copy: the context is shared through get_eval_context.
+    Only the last term depends on x3, and only through a1, and every
+    leading pair (x1, x2) has its whole x3 fiber, so a Lee weight is
+    counted per pair and trace value, not per coordinate.  x1 is an
+    owned, read-only copy: the context is shared through get_eval_context.
     """
 
-    def __init__(self, m: int, nilpotent_coords) -> None:
+    def __init__(self, m: int, x1) -> None:
         self.m = m
         self.field = get_field(m)
         self.q = q = self.field.q
-        arr = np.asarray(nilpotent_coords).reshape(-1, 3)
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= q):
-            raise ValueError(f"nilpotent coordinates must be integers in [0, q) = [0, {q})")
-        arr = arr.astype(np.intp, copy=False)  # np.asarray([]) is float64
-        self.n = len(arr)
-        heads = arr[:, 0] * q
-        heads += arr[:, 1]
-        pairs, self.pair = _distinct(heads, q * q)
-        self.p1, self.p2 = pairs // q, pairs % q
-        self.x3 = arr[:, 2].copy()
-        cells = np.multiply(self.pair, q, out=heads)
-        cells += self.x3
-        multiplicity = np.bincount(cells, minlength=len(pairs) * q).astype(np.int64, copy=False)
-        for array in (self.p1, self.p2, self.pair, self.x3, multiplicity):
-            array.flags.writeable = False
-        self.multiplicity = multiplicity.reshape(-1, q)
+        values = np.asarray(x1).reshape(-1)
+        if values.size and (values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= q):
+            raise ValueError(f"x1 values must be integers in [0, q) = [0, {q})")
+        self.x1 = values.astype(np.intp)  # a copy; np.asarray([]) is float64
+        self.x1.flags.writeable = False
+        self.n = len(self.x1) * q * q
 
     def _pair_keys(self, scalars) -> tuple[np.ndarray, np.ndarray]:
-        """(U, a1) for integer scalar indices in [0, q^3).
+        """(U, A) for integer scalar indices in [0, q^3).
 
-        U is the (len(scalars), P) int8 key of each leading pair,
-        (35 A + 7 B + C)[p1] + (7 A + B)[p2] = 35 t1 + 7 t2 + t3 - A[x3]
-        (at most 102), and a1 the int64 first nilpotent coordinate of each
-        scalar, which fixes A = T[a1].
+        U is the (len(scalars), |x1|, q) int8 key of each leading pair,
+        (35 A + 7 B + C)[x1] + (7 A + B)[x2] = 35 t1 + 7 t2 + t3 - A[x3]
+        (at most 102), and A the (len(scalars), q) rows T[a1], the last
+        trace term of each x3.
         """
         q = self.q
         s = np.asarray(scalars).reshape(-1)
         if s.size and (s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= q**3):
             raise ValueError(f"scalar indices must be integers in [0, 3^{3 * self.m}) = [0, {q**3})")
         s = s.astype(np.int64)
-        a1 = s // (q * q)
         T = self.field.trace_mul_table
-        A, B, C = T[a1], T[s // q % q], T[s % q]
-        keys = (35 * A + 7 * B + C).take(self.p1, axis=1)
-        keys += (7 * A + B).take(self.p2, axis=1)
-        return keys, a1
+        A, B, C = T[s // (q * q)], T[s // q % q], T[s % q]
+        keys = (35 * A + 7 * B + C).take(self.x1, axis=1)[:, :, None] + (7 * A + B)[:, None, :]
+        return keys, A
 
     def trace_triples(self, scalars) -> np.ndarray:
         """(len(scalars), n, 3) int8 words Tr(a x) for integer scalar indices in [0, q^3)."""
-        U, a1 = self._pair_keys(scalars)
-        keys = U.take(self.pair, axis=1)
-        keys += self.field.trace_mul_table[a1].take(self.x3, axis=1)
-        return _TRITS.take(keys, axis=0)
+        U, A = self._pair_keys(scalars)
+        return _TRITS.take(U[..., None] + A[:, None, None, :], axis=0).reshape(len(U), self.n, 3)
 
     def lee_weights(self, scalars) -> np.ndarray:
         """Lee weight of ev(a) per scalar index, as int64: the nonzero trits of trace_triples.
 
-        Per scalar s, sum over pairs p and r < 3 of _LEE[U[s, p] + r] times
-        N[a1_s, p, r] = sum_v W[p, v] [T[a1_s, v] = r], the number of
-        coordinates of pair p whose last trace term is r.  N is one exact
-        int64 matmul of W with the indicators of T[a1] over the D distinct
-        a1 among the scalars, three for the enumeration's representatives.
-        With S scalars and P pairs (|L| / q for a defining set) a call
-        holds O(S P) int8 keys and int64 products and does O(S P + D P q)
+        Per scalar, the sum over pairs and r < 3 of _LEE[U[pair] + r]
+        times #{x3 : A[x3] = r}, the same count for every pair.  With S
+        scalars a call holds O(S |x1| q) int8 keys and does O(S |x1| q)
         work; no key per coordinate is formed.
         """
-        U, a1 = self._pair_keys(scalars)
-        firsts, inverse = _distinct(a1, self.q)
-        is_r = self.field.trace_mul_table[firsts][:, :, None] == np.arange(3)
-        counts = self.multiplicity @ is_r.astype(np.int64)  # (distinct a1, P, 3)
-        return (_LEE_FROM.take(U, axis=0) * counts[inverse]).sum(axis=(1, 2))
+        U, A = self._pair_keys(scalars)
+        counts = (A[:, :, None] == np.arange(3)).sum(axis=1)  # (S, 3)
+        return (_LEE_FROM.take(U, axis=0).sum(axis=(1, 2)) * counts).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
 def get_eval_context(m: int, kind: str) -> EvalContext:
-    return EvalContext(m, defining_set(m, kind).nilpotent)
+    """The context over the defining set L = X1 x F x F, in its canonical order."""
+    require_scope("defining set", m)
+    return EvalContext(m, allowed_x1(get_field(m), kind))
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +345,13 @@ def export_generators(code: TernaryCode) -> str:
 # structural checks
 
 
-def check_injectivity(spec: CodeSpec, nilpotent=None) -> bool:
+def check_injectivity(spec: CodeSpec) -> bool:
     """Decide whether a -> ev(a) separates all 3^{3m} scalars.
 
     ev is F_3-linear, so it is injective iff the images of the 3m basis
-    scalars have rank 3m.  Explicit nilpotent coordinate triples can
-    replace the spec's defining set to probe degenerate coordinate sets.
+    scalars have rank 3m.
     """
-    require_scope("defining set", spec.m)
-    ctx = get_eval_context(spec.m, spec.set_kind) if nilpotent is None else EvalContext(spec.m, nilpotent)
+    ctx = get_eval_context(spec.m, spec.set_kind)
     return linalg3.rank(_generator_matrix(ctx, LAYOUT_INTERLEAVED)) == 3 * spec.m
 
 

@@ -6,11 +6,16 @@ from cubicode.chain_ring import (
     KIND_LPRIME,
     KIND_UNITS,
     ChainRing,
+    allowed_x1,
     code_length,
     defining_set,
+    defining_set_generators,
     defining_set_size,
     get_ring,
 )
+from cubicode.gf3m import get_field
+from cubicode.trace_code import get_eval_context
+from cubicode.weight_dist import scalar_orbits
 from ring_reference import standard_elements
 
 
@@ -85,6 +90,16 @@ def test_trace_agrees_with_frobenius_sum_and_commutes_with_u():
 def test_sizes_need_a_positive_integer_m(function, bad):
     with pytest.raises(ValueError, match="m must be a positive integer"):
         function(bad, KIND_UNITS)
+
+
+@pytest.mark.parametrize("kind", ("bogus", "LPRIME", ""))
+def test_every_kind_entry_point_refuses_an_unknown_kind(kind):
+    # allowed_x1 is the one map from a kind to X1; the others reach it
+    with pytest.raises(ValueError, match=f"unknown defining set kind {kind!r}"):
+        allowed_x1(get_field(1), kind)
+    for entry in (defining_set, defining_set_generators, scalar_orbits, get_eval_context):
+        with pytest.raises(ValueError, match=f"unknown defining set kind {kind!r}"):
+            entry(1, kind)
 
 
 @pytest.mark.parametrize("m", (1, 2))

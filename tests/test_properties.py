@@ -4,9 +4,9 @@ Random small generator matrices are compared with brute force over all
 3^k codewords (the row-space test, the rank and the minimality census), the bit-sliced elimination with a row-by-row reference
 elimination and with brute force over all 3^n solutions, and share
 reconstruction on random party sets with brute force over the codewords.
-The evaluator on random coordinate sets is compared with scalar ring
-arithmetic, and the nilpotent coordinates and Gray layouts with their
-inverses.
+The evaluator on random grids x1 x F x F is compared with scalar ring
+arithmetic, the nilpotent coordinates and Gray layouts with their
+inverses, and the Griesmer sum with its direct definition.
 Hypothesis runs derandomized with no deadline, so the examples and the
 outcome are the same on every run.
 """
@@ -17,11 +17,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cubicode import linalg3, sss, trace_code
+from cubicode import bounds, linalg3, sss, trace_code
 from cubicode.chain_ring import get_ring
 from ring_reference import index_of_scalar, scalar_from_index
 
@@ -292,10 +292,11 @@ def test_eval_context_equals_ring_arithmetic_on_random_coordinates(data):
     ring = get_ring(m)
     q = ring.field.q
     element = st.integers(0, q - 1)
-    # 1 .. 64 repeated and unordered nilpotent triples
-    coords = data.draw(st.lists(st.tuples(element, element, element), min_size=1, max_size=60))
-    coords += data.draw(st.lists(st.sampled_from(coords), max_size=4))
-    ctx = trace_code.EvalContext(m, coords)
+    # 1 .. 4 repeated and unordered x1 values, 0 allowed, over the grid x1 x F x F
+    x1 = data.draw(st.lists(element, min_size=1, max_size=3))
+    x1 += data.draw(st.lists(st.sampled_from(x1), max_size=1))
+    ctx = trace_code.EvalContext(m, x1)
+    coords = [(a, b, c) for a in x1 for b in range(q) for c in range(q)]
     # random scalars, repeats of one hi = a1 q + a2 with varying a3 and
     # possibly every a3 = 0 .. q-1
     hi = data.draw(st.integers(0, q * q - 1))
@@ -344,3 +345,11 @@ def test_gray_layouts_are_permutations_through_gray_positions(data):
     block_at = maps["block"].reshape(-1)
     assert np.array_equal(images["interleaved"], images["block"][:, block_at])
     assert np.array_equal(images["block"], images["interleaved"][:, np.argsort(block_at)])
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 3**60))
+# bounds --m 3003 --set units: K = 3m and the two-weight minimum distance
+@example(3 * 3003, 2 * (3 ** (3 * 3003) - 3 ** (2 * 3003)))
+def test_griesmer_sum_equals_its_direct_definition(K, d):
+    assert bounds.griesmer_sum(K, d) == sum(-(-d // 3**j) for j in range(K))

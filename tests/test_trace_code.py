@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -152,19 +151,23 @@ def test_key_tables_equal_the_mod_3_formula():
         assert trace_code._LEE[key] == sum(t != 0 for t in trits)
 
 
-def random_multiset(m: int, seed: int) -> np.ndarray:
-    """Nilpotent triples over a few leading pairs, each with a partial x3 fiber and repeats."""
-    q = 3**m
+def random_x1(m: int, seed: int) -> list[int]:
+    """A few x1 values in [0, q), unordered, with 0 and a repeat among them."""
     rng = np.random.default_rng(seed)
-    heads = rng.integers(0, q, (int(rng.integers(1, 6)), 2))
-    coords = np.column_stack([heads[rng.integers(0, len(heads), 3 * q)], rng.integers(0, q, 3 * q)])
-    return np.concatenate([coords, coords[: q // 2 + 1]])
+    x1 = rng.integers(0, 3**m, int(rng.integers(1, 5))).tolist()
+    return x1 + [0, x1[0]]
+
+
+def grid(ctx: EvalContext) -> np.ndarray:
+    """The context's coordinates x1 x F x F as (n, 3) nilpotent triples, built here."""
+    q = ctx.q
+    return np.stack(np.meshgrid(ctx.x1, np.arange(q), np.arange(q), indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2, 3) for kind in ("lprime", "units")], ids=str)
 def test_lee_weights_count_the_nonzero_trits_of_trace_triples(spec):
     scalars = np.random.default_rng(spec.m).integers(0, 3 ** (3 * spec.m), 20)
-    for ctx in (get_eval_context(spec.m, spec.set_kind), EvalContext(spec.m, random_multiset(spec.m, 5))):
+    for ctx in (get_eval_context(spec.m, spec.set_kind), EvalContext(spec.m, random_x1(spec.m, 5))):
         for chunk in (scalars, scalars[:0]):
             words, weights = ctx.trace_triples(chunk), ctx.lee_weights(chunk)
             assert words.dtype == np.int8 and words.shape == (len(chunk), ctx.n, 3)
@@ -173,34 +176,15 @@ def test_lee_weights_count_the_nonzero_trits_of_trace_triples(spec):
 
 
 @pytest.mark.parametrize("spec", [CodeSpec(m, kind) for m in (1, 2, 3) for kind in ("lprime", "units")], ids=str)
-def test_defining_set_contexts_group_whole_fibers(spec):
+def test_defining_set_contexts_evaluate_over_the_canonical_grid(spec):
     ctx = get_eval_context(spec.m, spec.set_kind)
-    nil = defining_set(spec.m, spec.set_kind).nilpotent
-    q = ctx.q
-    pairs = len(allowed_x1(ctx.field, spec.set_kind)) * q
-    assert ctx.multiplicity.dtype == np.int64 and ctx.multiplicity.shape == (pairs, q)
-    assert (ctx.multiplicity == 1).all() and pairs * q == ctx.n
-    assert np.array_equal(np.stack([ctx.p1[ctx.pair], ctx.p2[ctx.pair], ctx.x3], axis=1), nil)
-
-
-@pytest.mark.parametrize("m", (1, 2, 3))
-def test_pair_grouping_counts_repeated_coordinates(m):
-    q = 3**m
-    for seed in range(6):
-        coords = random_multiset(m, seed)
-        ctx = EvalContext(m, coords)
-        counts = Counter(map(tuple, coords.tolist()))
-        assert len(set(zip(ctx.p1.tolist(), ctx.p2.tolist()))) == len(ctx.p1) == len({c[:2] for c in counts})
-        grouped = {
-            (p1, p2, v): int(ctx.multiplicity[p, v])
-            for p, (p1, p2) in enumerate(zip(ctx.p1.tolist(), ctx.p2.tolist()))
-            for v in range(q)
-            if ctx.multiplicity[p, v]
-        }
-        assert grouped == counts and ctx.multiplicity.sum() == ctx.n == len(coords)
-        # some fiber is partial: the coordinates are not a union of whole fibers
-        assert (ctx.multiplicity == 0).any()
-        assert np.array_equal(np.stack([ctx.p1[ctx.pair], ctx.p2[ctx.pair], ctx.x3], axis=1), coords)
+    assert ctx.x1.tolist() == list(allowed_x1(ctx.field, spec.set_kind)) and ctx.x1[0] == 1
+    coords = grid(ctx)
+    assert np.array_equal(coords, defining_set(spec.m, spec.set_kind).nilpotent)
+    # coordinate 0 is the ring element 1 and coordinate q is u
+    ring = get_ring(spec.m)
+    assert ring.from_nilpotent(tuple(coords[0].tolist())) == ring.one
+    assert ring.from_nilpotent(tuple(coords[ctx.q].tolist())) == ring.u
 
 
 def eval_context_arrays(ctx: EvalContext) -> dict[str, np.ndarray]:
@@ -209,25 +193,24 @@ def eval_context_arrays(ctx: EvalContext) -> dict[str, np.ndarray]:
 
 def test_eval_context_arrays_are_read_only():
     G = build_code(CodeSpec(1, "units")).generators
-    for ctx in (get_eval_context(1, "units"), EvalContext(2, random_multiset(2, 1))):
+    for ctx in (get_eval_context(1, "units"), EvalContext(2, random_x1(2, 1))):
         arrays = eval_context_arrays(ctx)
         for array in arrays.values():
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
-        assert {"p1", "p2", "pair", "x3", "multiplicity"} <= set(arrays)
+        assert set(arrays) == {"x1"}
     # the cached context behind every units m = 1 code is unchanged
     assert np.array_equal(build_code(CodeSpec(1, "units")).generators, G)
     assert enumerate_distribution(CodeSpec(1, "units")).entries == {0: 1, 36: 24, 54: 2}
 
 
 def test_eval_context_owns_its_coordinates():
-    coords = random_multiset(2, 3)
-    ctx = EvalContext(2, coords)
+    x1 = np.array(random_x1(2, 3))
+    ctx = EvalContext(2, x1)
     scalars = np.arange(3**6)
     words, weights = ctx.trace_triples(scalars), ctx.lee_weights(scalars)
-    for array in eval_context_arrays(ctx).values():
-        assert not np.shares_memory(array, coords)
-    coords[:] = coords[::-1] // 2
+    assert not np.shares_memory(ctx.x1, x1)
+    x1[:] = x1[::-1] // 2
     assert np.array_equal(ctx.trace_triples(scalars), words)
     assert np.array_equal(ctx.lee_weights(scalars), weights)
 
@@ -235,21 +218,19 @@ def test_eval_context_owns_its_coordinates():
 @pytest.mark.parametrize(
     "bad",
     (
-        # take would wrap -1 to 2: these would pass as the unit basis
-        [(-1, 0, 0), (0, -1, 0), (0, 0, -1)],
-        [(0, 0, 3)],
-        [(1.7, 0, 0)],
-        [(True, False, False)],
-        np.array([(1, 0, 0)], dtype=object),
-        np.array([(0, 2**63, 0)], dtype=np.uint64),
+        # take would wrap -1 to 2: it would pass as a square
+        [-1],
+        [3],
+        [1.7],
+        [True],
+        np.array([1], dtype=object),
+        np.array([2**63], dtype=np.uint64),
     ),
     ids=("negative", "q", "float", "bool", "object", "uint64"),
 )
 def test_coordinates_must_be_integers_in_range(bad):
-    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+    with pytest.raises(ValueError, match=r"x1 values must be integers in \[0, q\) = \[0, 3\)"):
         EvalContext(1, bad)
-    with pytest.raises(ValueError, match=r"\[0, 3\)"):
-        check_injectivity(CodeSpec(m=1), bad)
 
 
 def test_lee_weights_accept_repeated_unordered_scalars():
@@ -341,13 +322,16 @@ def test_injectivity(spec):
     assert check_injectivity(spec)
 
 
-def test_injectivity_negative_controls():
-    # at m=1 the trace is the identity, so the zero divisor
-    # 1 + u + u^2 = (u-1)^2, nilpotent (0, 0, 1), already collides
-    assert not check_injectivity(CodeSpec(m=1), nilpotent=[(0, 0, 1)])
-    # at m=2 a single coordinate cannot separate 3^6 scalars
-    assert not check_injectivity(CodeSpec(m=2), nilpotent=[(1, 0, 0)])
-    with pytest.raises(ValueError):
+def test_injectivity_negative_controls(monkeypatch):
+    # x1 = 0: every coordinate lies in <u-1>, so the zero divisor
+    # (u-1)^2, nilpotent (0, 0, 1), maps to the zero word
+    monkeypatch.setattr(trace_code, "get_eval_context", lambda m, kind: EvalContext(1, [0]))
+    assert not check_injectivity(CodeSpec(m=1))
+    # x1 = 1 alone: a = (0, 0, a3) with tr(a3) = 0, a3 != 0, maps to the zero word
+    monkeypatch.setattr(trace_code, "get_eval_context", lambda m, kind: EvalContext(2, [1]))
+    assert not check_injectivity(CodeSpec(m=2))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="defining set: supported for m <= 3"):
         check_injectivity(CodeSpec(m=4))
 
 
@@ -462,9 +446,9 @@ def test_row_space_test_reads_the_cached_reduction(monkeypatch):
 
 def test_eval_context_accepts_explicit_coordinates():
     ring = get_ring(1)
-    coords = [ring.to_nilpotent(ring.one), ring.to_nilpotent(ring.u)]
-    ctx = EvalContext(1, coords)
-    assert ctx.n == 2 and EvalContext(1, []).n == 0
-    row = ctx.trace_triples(np.array([index_of_scalar(1, ring.u)]))[0]
-    # Tr is the identity at m=1: ev(u) = (u, u^2)
-    assert tuple(row[0]) == ring.u and tuple(row[1]) == ring.u_squared
+    ctx = EvalContext(1, [1])
+    assert ctx.n == 9 and EvalContext(1, []).n == 0
+    words = ctx.trace_triples(np.array([index_of_scalar(1, ring.u)]))
+    assert words.shape == (1, 9, 3) and EvalContext(1, []).trace_triples([5]).shape == (1, 0, 3)
+    # Tr is the identity at m=1, and coordinates 0 and q = 3 are 1 and u: ev(u) starts (u, .., u^2)
+    assert tuple(words[0, 0]) == ring.u and tuple(words[0, 3]) == ring.u_squared

@@ -230,16 +230,13 @@ def test_both_signs_of_the_gauss_sum_give_one_even_m_distribution():
 
 @pytest.mark.parametrize("kind", ("lprime", "units"))
 def test_orbit_weights_equal_the_closed_form_m4(kind):
-    # brute force outside the scope cap: L = X1 x F x F built here, since defining_set(4) is refused
-    with pytest.raises(ValueError):
-        defining_set(4, kind)
-    F = get_field(4)
-    q = F.q
-    x1 = np.array(allowed_x1(F, kind))
-    coords = np.stack(np.meshgrid(x1, np.arange(q), np.arange(q), indexing="ij"), axis=-1).reshape(-1, 3)
+    # brute force outside the scope cap, over the grid X1 x F x F, since both of these refuse m = 4
+    for refused in (defining_set, get_eval_context):
+        with pytest.raises(ValueError):
+            refused(4, kind)
     reps, sizes = scalar_orbits(4, kind)
     counts: dict[int, int] = {}
-    for w, size in zip(EvalContext(4, coords).lee_weights(reps).tolist(), sizes):
+    for w, size in zip(EvalContext(4, allowed_x1(get_field(4), kind)).lee_weights(reps).tolist(), sizes):
         counts[w] = counts.get(w, 0) + size
     assert counts == formula_distribution(CodeSpec(4, kind)).entries
 
