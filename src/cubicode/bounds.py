@@ -52,6 +52,12 @@ def griesmer_sum(K: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class GriesmerReport:
+    """The Griesmer sums of an [N, K, d]_3 code at d and d + 1.
+
+    holds: the bound N >= sum at d is met; optimal: it holds and fails
+    at d + 1, so no [N, K, d + 1]_3 code exists.
+    """
+
     N: int
     K: int
     d: int
@@ -171,6 +177,12 @@ def dual_weight_search(spec: CodeSpec) -> DualWitness:
 
 @dataclass(frozen=True)
 class BoundsVerdict:
+    """verdict's answer for one spec: the code's [N, K, d], its Griesmer sums and optimality.
+
+    dual_distance and witness are the dual certificate (DualWitness), or
+    None above the defining-set scope, where a note says it was skipped.
+    """
+
     N: int
     K: int
     d: int

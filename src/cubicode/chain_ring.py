@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3m import GF3m, get_field
+from .gf3m import GF3m, _integer, get_field
 
 Triple = tuple[int, int, int]
 
@@ -53,11 +53,15 @@ SCOPE_MAX_M = {
 }
 
 
-def require_scope(scope: str, m: int) -> None:
-    """Raise ValueError when m lies above the cap SCOPE_MAX_M sets for scope."""
+def require_scope(scope: str, m: int) -> int:
+    """m as a Python int; ValueError unless it is an integer (not a bool) in 1..SCOPE_MAX_M[scope]."""
     limit = SCOPE_MAX_M[scope]
-    if m > limit:
+    degree = _integer(m)
+    if degree is None or degree < 1:
+        raise ValueError(f"{scope}: m must be a positive integer, got {m!r}")
+    if degree > limit:
         raise ValueError(f"{scope}: supported for m <= {limit}, got m={m}")
+    return degree
 
 
 class ChainRing:
@@ -202,7 +206,7 @@ def code_length(m: int, kind: str) -> int:
     return 3 * defining_set_size(m, kind)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
 def defining_set(m: int, kind: str) -> DefiningSet:
     """The defining set L of the kind at degree m, materialized in canonical order.
 

@@ -256,6 +256,13 @@ def cmd_export(args) -> int:
 
 @dataclass
 class Claim:
+    """One verify-paper record: the reference value, the computed one and their status.
+
+    flagged marks a record that is neither a plain match nor a failure (a
+    known discrepancy with the stated claim, or no stated expectation),
+    explained in note; only a mismatch fails verify-paper.
+    """
+
     id: str
     expected: object
     computed: object
@@ -304,15 +311,7 @@ def _charsum_claim(kind: str, m: int) -> dict:
 
 def _gauss_claim(m: int) -> dict:
     gp = gauss_periods(m)
-    expected = [
-        [round(gp.closed_squares.real, 6), round(gp.closed_squares.imag, 6)],
-        [round(gp.closed_nonsquares.real, 6), round(gp.closed_nonsquares.imag, 6)],
-    ]
-    computed = [
-        [round(gp.squares.real, 6), round(gp.squares.imag, 6)],
-        [round(gp.nonsquares.real, 6), round(gp.nonsquares.imag, 6)],
-    ]
-    return {"expected": expected, "computed": computed}
+    return {"expected": gp.closed_forms, "computed": (gp.squares, gp.nonsquares)}
 
 
 def _griesmer_claim(kind: str, m: int) -> dict:

@@ -28,6 +28,20 @@ trace value, not per coordinate.  evaluate, the per-coordinate ring
 arithmetic on standard triples, is kept as the independent reference the
 tests compare EvalContext against.
 
+The column lemma.  The nilpotent traces of a x are t1 = tr(a1 x1),
+t2 = tr(a1 x2 + a2 x1) and t3 = tr(a1 x3 + a2 x2 + a3 x1), so the three
+Gray slots of ev(a) at x, t1 - t2 + t3, t2 + t3 and t3, are each the
+functional a -> sum_i tr(a_i v_i) of one vector v(x) in F^3:
+
+    (x1 - x2 + x3, x2 - x1, x1),  (x2 + x3, x1 + x2, x1),  (x3, x2, x1).
+
+Each x -> v(x) is triangular, with v3 = x1, v2 = x2 plus a multiple of
+x1 and v1 = x3 plus terms in x1 and x2, so as x runs over
+L = X1 x F x F each runs once over V = {v in F^3 : v3 in X1}.  So every
+column of G is the functional of one v in V on ring_basis, and
+wt(a) = 3 #{v in V : sum_i tr(a_i v_i) != 0}, which
+weight_dist.charsum_distribution and formula_distribution stand on.
+
 ev is F_3-linear, so every code here is the F_3 row space of its
 generator matrix G, and the structural checks decide on G alone:
 injectivity is "the 3m basis images have rank 3m", and a coordinate
@@ -208,7 +222,7 @@ class EvalContext:
         return (_LEE_FROM.take(U, axis=0).sum(axis=(1, 2)) * counts).sum(axis=1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
 def get_eval_context(m: int, kind: str) -> EvalContext:
     """The context over the defining set L = X1 x F x F, in its canonical order."""
     require_scope("defining set", m)

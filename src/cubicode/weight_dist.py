@@ -11,19 +11,18 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
     units, any m:
         {0: 1,  2(3^{3m} - 3^{2m}): 3^{3m} - 3^m,  2 * 3^{3m}: 3^m - 1}
 
-formula_distribution proves them from the column lemma below and the
-quadratic Gauss sum.  The enumeration path scores one scalar per
+formula_distribution proves them from the column lemma (trace_code)
+and the quadratic Gauss sum.  The enumeration path scores one scalar per
 orbit of L (scalar_orbits), 7 for lprime and 4 for units, against the
 whole defining set and counts its Lee weight with the orbit's size:
 ev(v a) permutes the coordinates of ev(a) for v in L.
 
 The charsum path scores the same orbits with no field and no evaluator,
-by the column lemma: each Gray slot of ev(a) at x is a -> sum tr(a_i v_i)
-for a vector v(x), and as x runs over L each of the three v(x) runs once
-over V = {v in F^3 : v3 in X1}.  So wt(a) = 3 #{v in V : sum tr(a_i v_i)
-!= 0}, which is 2 |X1| q^2 when (a1, a2) != 0 and otherwise counts the
-y in a3 X1 with tr(y) != 0: integer trace counts over the squares, the
-nonsquares or F*, the same counts the Gauss periods are formed from.
+by the column lemma: wt(a) = 3 #{v in V : sum tr(a_i v_i) != 0} with
+V = {v in F^3 : v3 in X1}, which is 2 |X1| q^2 when (a1, a2) != 0 and
+otherwise counts the y in a3 X1 with tr(y) != 0: integer trace counts
+over the squares, the nonsquares or F*, the same counts the Gauss
+periods are formed from.
 
 Every produced distribution is checked against the two exact invariants
 sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
@@ -31,7 +30,6 @@ sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -50,34 +48,22 @@ _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
 
 @dataclass(frozen=True)
 class GaussPeriods:
-    """Character sums over the squares and nonsquares of F_{3^m}.
+    """Quadratic Gauss sum and periods of F_{3^m}: pairs (a, b) of ints meaning a + b omega.
 
-    squares and nonsquares hold the numeric values of sum omega^{tr(x)}
-    over the two classes, formed from the exact counts of each trace
-    value (gauss_periods).  For even m both are exact integers
-    (exact_even); for odd m both have real part -1/2 and imaginary parts
-    +-(1/2) 3^{m/2} with opposite signs, odd_imag_sign giving the sign on
-    the squares side.  They always satisfy squares + nonsquares = -1.
+    squares and nonsquares are the periods sum omega^{tr(x)} over the two
+    classes, from their trace counts; gauss_sum is the closed form G.
     """
 
     m: int
-    squares: complex
-    nonsquares: complex
-    exact_even: tuple[int, int] | None
-    odd_imag_sign: int | None
+    gauss_sum: tuple[int, int]
+    squares: tuple[int, int]
+    nonsquares: tuple[int, int]
 
     @property
-    def gauss_sum(self) -> complex:
-        """Closed form (-1)^(m-1) i^m sqrt(3^m) of the quadratic Gauss sum."""
-        return ((-1) ** (self.m - 1)) * (1j**self.m) * math.sqrt(3**self.m)
-
-    @property
-    def closed_squares(self) -> complex:
-        return (self.gauss_sum - 1) / 2
-
-    @property
-    def closed_nonsquares(self) -> complex:
-        return (-self.gauss_sum - 1) / 2
+    def closed_forms(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The squares' and nonsquares' periods G fixes, (G - 1)/2 and (-G - 1)/2: exact, as G = 1 (mod 2)."""
+        a, b = self.gauss_sum
+        return ((a - 1) // 2, b // 2), ((-a - 1) // 2, -b // 2)
 
 
 def _period_counts(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,45 +82,28 @@ def _period_counts(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_periods(m: int) -> GaussPeriods:
-    """The Gauss periods from exact trace counts, checked against the closed forms.
+    """The Gauss periods from exact trace counts, checked against the closed form.
 
-    A period is c_0 + c_1 omega + c_2 omega^2 for the counts c of its
-    class (_period_counts), so the closed forms (Lidl and Niederreiter,
-    Finite Fields, Thm 5.15) are identities in integers, checked for
-    both classes: for even m, c_1 = c_2 and c_0 - c_1 is the class's
-    entry of exact_even; for odd m, 2 c_0 - c_1 - c_2 = -1 and
-    c_1 - c_2 = s 3^{(m-1)/2}, with s = odd_imag_sign on the squares and
-    -odd_imag_sign on the nonsquares.  The numeric periods must also lie
-    within 1e-9 relative of the closed forms.  Either failure raises
-    ArithmeticError.  ValueError unless m is an integer (not a bool) in
-    1..MAX_DEGREE.
+    A class with counts c (_period_counts) has the period
+    c_0 + c_1 omega + c_2 omega^2 = (c_0 - c_2) + (c_1 - c_2) omega.  The
+    periods differ by G and sum to -1, so G = (-1)^{m-1} (1 + 2 omega)^m
+    (Lidl and Niederreiter, Finite Fields, Thm 5.15, with
+    (1 + 2 omega)^2 = -3) fixes both (GaussPeriods.closed_forms).  A class
+    whose pair differs from its closed form raises ArithmeticError.
+    ValueError unless m is an integer (not a bool) in 1..8, the
+    "Gauss periods" scope.
     """
-    require_scope("Gauss periods", m)
+    m = require_scope("Gauss periods", m)
+    a, b = (1 if m % 2 else -1), 0
+    for _ in range(m):  # times 1 + 2 omega, with omega^2 = -1 - omega
+        a, b = a - 2 * b, 2 * a - b
     counts = _period_counts(m)
-    if m % 2 == 0:
-        root = 3 ** (m // 2)
-        g = root if m % 4 == 2 else -root
-        exact_even: tuple[int, int] | None = ((g - 1) // 2, (-g - 1) // 2)
-        odd_sign = None
-    else:
-        exact_even = None
-        odd_sign = 1 if m % 4 == 1 else -1
-    for side, name in enumerate(("squares", "nonsquares")):
-        c0, c1, c2 = counts[side].tolist()
-        if m % 2 == 0:
-            exact = c1 == c2 and c0 - c1 == exact_even[side]
-        else:
-            exact = 2 * c0 - c1 - c2 == -1 and c1 - c2 == (1 - 2 * side) * odd_sign * 3 ** (m // 2)
-        if not exact:
-            raise ArithmeticError(f"trace counts {(c0, c1, c2)} of the {name} break the closed form at m={m}")
-    sq, ns = (complex(c @ _OMEGA) for c in counts)
-    periods = GaussPeriods(
-        m=m, squares=sq, nonsquares=ns, exact_even=exact_even, odd_imag_sign=odd_sign
-    )
-    for direct, closed in ((sq, periods.closed_squares), (ns, periods.closed_nonsquares)):
-        if abs(direct - closed) > 1e-9 * abs(closed):
+    pairs = [(c0 - c2, c1 - c2) for c0, c1, c2 in (c.tolist() for c in counts)]
+    periods = GaussPeriods(m, (a, b), *pairs)
+    for name, c, pair, closed in zip(("squares", "nonsquares"), counts, pairs, periods.closed_forms):
+        if pair != closed:
             raise ArithmeticError(
-                f"character sum {direct} disagrees with closed form {closed} at m={m}"
+                f"trace counts {tuple(c.tolist())} of the {name} break the closed form {closed} at m={m}"
             )
     return periods
 
@@ -256,15 +225,15 @@ def formula_distribution(spec: CodeSpec) -> WeightDistribution:
     3 q^2 (|X1| - z), z the number of trace-0 elements in the class c X1
     (charsum_distribution).  Units: the class is F*, z = q/3 - 1, so the
     weight is 2 q^3.  lprime: |X1| = (q - 1)/2 and the classes are the
-    squares and the nonsquares.  By the quadratic Gauss sum G (Lidl and
-    Niederreiter, Finite Fields, Thm 5.15) the squares have
-    z = (q - 3 + 2 Re G)/6 and the nonsquares the same with -G.  For odd
-    m, G is imaginary, so both classes weigh q^3.  For even m,
-    G = +-3^{m/2}, so the classes weigh q^2 (q -+ G) = 3^{3m} -+ 3^{5m/2}.
-    The sign of G (+ at m == 2, - at m == 0 mod 4) only swaps which class
-    gets which weight, and both orbits hold (q - 1)/2 scalars, so the
-    distribution is the same at every even m.  ValueError above the
-    closed-form scope.
+    squares and the nonsquares.  By the quadratic Gauss sum
+    G = (-1)^{m-1} (1 + 2 omega)^m (gauss_periods; (1 + 2 omega)^2 = -3)
+    the squares have z = (q - 3 + 2 Re G)/6 and the nonsquares the same
+    with -G.  For odd m, G is imaginary, so both classes weigh q^3.  For
+    even m, G = -(-3)^{m/2}, so the classes weigh
+    q^2 (q -+ G) = 3^{3m} -+ 3^{5m/2}.  The sign of G (+ at m == 2,
+    - at m == 0 mod 4) only swaps which class gets which weight, and
+    both orbits hold (q - 1)/2 scalars, so the distribution is the same
+    at every even m.  ValueError above the closed-form scope.
     """
     require_scope("closed form", spec.m)
     m = spec.m

@@ -11,7 +11,7 @@ DESCRIPTIONS = {
     4: "m=2 units enumerated Lee distribution {0:1, 1296:720, 1458:8} in < 30 s",
     5: "closed forms equal enumeration for m <= 3, both kinds",
     6: "character-sum weights, one bulk pass, equal direct Lee weights for every scalar, m <= 2",
-    7: "Gauss periods match closed forms for m <= 6; exact sum -1",
+    7: "Gauss periods in Z[omega], m <= 8: exact sum -1 and difference G = (-1)^(m-1) (1 + 2 omega)^m",
     8: "char-sum/Hamming-weight identity on 1000 seeded vectors per length",
     9: "Griesmer optimality verdicts via direct ceiling sums",
     10: "dual distance 2 certificates for all four specs, m <= 2",

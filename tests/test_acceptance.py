@@ -89,19 +89,14 @@ def test_criterion_06_charsum_weights_every_scalar():
 
 
 def test_criterion_07_gauss_periods():
-    for m in range(1, 7):
+    for m in range(1, 9):
         gp = gauss_periods(m)
-        for direct, closed in (
-            (gp.squares, gp.closed_squares),
-            (gp.nonsquares, gp.closed_nonsquares),
-        ):
-            assert abs(direct - closed) < 1e-6 * abs(closed)
-        # exact form: the two periods sum to -1
+        # pairs (a, b) meaning a + b omega, compared exactly
+        (a, b), (c, d) = gp.squares, gp.nonsquares
+        assert (a + c, b + d) == (-1, 0)
+        assert (a - c, b - d) == gp.gauss_sum
         if m % 2 == 0:
-            q_bar, n_bar = gp.exact_even
-            assert q_bar + n_bar == -1
-        else:
-            assert gp.closed_squares + gp.closed_nonsquares == -1
+            assert gp.gauss_sum == ((1 if m % 4 == 2 else -1) * 3 ** (m // 2), 0)
 
 
 def test_criterion_08_char_sum_hamming_identity():

@@ -86,8 +86,11 @@ def test_trace_agrees_with_frobenius_sum_and_commutes_with_u():
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, False, 2.5, 2.0, "2", None])
-@pytest.mark.parametrize("function", [defining_set_size, code_length])
+@pytest.mark.parametrize("function", [defining_set_size, code_length, defining_set, get_eval_context])
 def test_sizes_need_a_positive_integer_m(function, bad):
+    # the cached entry points warm m = 1 and 2 first: True and 2.0 equal them as cache keys
+    function(1, KIND_UNITS)
+    function(2, KIND_UNITS)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         function(bad, KIND_UNITS)
 

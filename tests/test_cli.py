@@ -470,24 +470,34 @@ def test_verify_paper_json(capsys):
         assert "expected" in claim and "computed" in claim
 
 
+@pytest.mark.parametrize("flags", ((), ("--include-slow",)))
+def test_verify_paper_json_holds_no_float(capsys, flags):
+    code, out, _ = run(capsys, "verify-paper", "--output", "json", *flags)
+    assert code == 0
+    floats = []
+    json.loads(out, parse_float=floats.append, parse_constant=floats.append)
+    assert floats == []
+
+
 def test_gauss_claims_mismatch_on_a_wrong_closed_form_or_direct_sum(monkeypatch):
     import dataclasses
 
     import cubicode.cli as cli_mod
-    from cubicode.weight_dist import GaussPeriods, gauss_periods
+    from cubicode.weight_dist import gauss_periods
 
-    def gauss_statuses():
-        return {c.id: c.status for c in build_claims() if c.id.startswith("gauss-periods")}
+    def negated_gauss_sum(m):
+        gp = gauss_periods(m)
+        return dataclasses.replace(gp, gauss_sum=tuple(-x for x in gp.gauss_sum))
 
-    original = GaussPeriods.gauss_sum
-    with monkeypatch.context() as patch:
-        patch.setattr(GaussPeriods, "gauss_sum", property(lambda gp: -original.fget(gp)))
-        assert set(gauss_statuses().values()) == {"mismatch"}
     # a direct sum off by one: the claim compares expected with computed itself
-    monkeypatch.setattr(
-        cli_mod, "gauss_periods", lambda m: dataclasses.replace(gauss_periods(m), squares=gauss_periods(m).squares + 1)
-    )
-    assert set(gauss_statuses().values()) == {"mismatch"}
+    def squares_off_by_one(m):
+        gp = gauss_periods(m)
+        return dataclasses.replace(gp, squares=(gp.squares[0] + 1, gp.squares[1]))
+
+    for wrong in (negated_gauss_sum, squares_off_by_one):
+        monkeypatch.setattr(cli_mod, "gauss_periods", wrong)
+        statuses = [c.status for c in build_claims() if c.id.startswith("gauss-periods")]
+        assert statuses == ["mismatch"] * 6
 
 
 def test_build_claims_fast_set():

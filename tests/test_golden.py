@@ -5,6 +5,9 @@ were recorded before the scalar arithmetic moved to nilpotent indices,
 the sss ones before the access sets shared the code's party ints, and
 the verify-paper text ones before argv was parsed by the chosen
 subcommand's parser alone; a refactor that keeps them keeps every exported byte.
+The two verify-paper --output json digests were re-recorded when the
+gauss-periods-m* records changed from rounded floats to exact Z[omega]
+pairs (a, b) meaning a + b omega, their only change.
 """
 
 import hashlib
@@ -16,8 +19,8 @@ from cubicode.cli import main
 DIGESTS = {
     "verify-paper": "43346550a6e025b2a99b05c51ebcaa8192037c1314f03db53a93620a17d18ab2",
     "verify-paper --include-slow": "cbc93ea147d92e388531b3415ee1abce9f70c0eb6aa82edbf2baf2a34758fc03",
-    "verify-paper --output json": "b640448e612bd324a6adaf1ef91676493e857a276c74f8ce77861009af47077a",
-    "verify-paper --output json --include-slow": "f4c99cf4d439d87f94b90d653f3de772e1379eed6af4c1fe8a8dd2ec8db84e9b",
+    "verify-paper --output json": "c3e98bbd6a2929a580066fff3adedb3a1634efa35bec4194b042d521eea9cd39",
+    "verify-paper --output json --include-slow": "8f80fd19174c4a478ccef4f853cb5a593f4e9799714c80f9fb32bc16fd4136bd",
     "export --format generators --m 1 --set lprime --layout interleaved": "20f7bc7b2490bc989e9d1b5bc1e705f105bea8964ef5f5dc29447444209f2f8d",
     "export --format generators --m 1 --set lprime --layout block": "cde222fc5bb3783ab23c99a1f4729962023cd13034cccca574eb89d1574a694f",
     "export --format generators --m 1 --set units --layout interleaved": "63a75c0a93e7ccd3e21818be6f139d8e3e6cc2484607e76f35f38082311850cf",

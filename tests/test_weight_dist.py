@@ -23,7 +23,7 @@ from cubicode.weight_dist import (
     gauss_periods,
     scalar_orbits,
 )
-from ring_reference import char_sum_weights, scalar_from_index, scalar_weights, vector_char_sum
+from ring_reference import OMEGA, char_sum_weights, scalar_from_index, scalar_weights, vector_char_sum
 
 FROZEN = {
     ("lprime", 1): {0: 1, 18: 24, 27: 2},
@@ -298,20 +298,23 @@ def test_first_moment_identity():
         assert sum(w * f for w, f in entries.items()) == 2 * N * 3 ** (3 * m - 1)
 
 
+# the quadratic Gauss sum G = (-1)^{m-1} (1 + 2 omega)^m at m = 1..8, as (a, b) meaning a + b omega
+GAUSS_SUMS = [(1, 2), (3, 0), (-3, -6), (-9, 0), (9, 18), (27, 0), (-27, -54), (-81, 0)]
+
+
 def test_gauss_periods_closed_forms():
-    for m in range(1, 7):
-        gp = gauss_periods(m)
-        assert abs(gp.squares + gp.nonsquares + 1) < 1e-9
+    for m, g in enumerate(GAUSS_SUMS, start=1):
+        gp = gauss_periods(np.int64(m))
+        assert gp.gauss_sum == g
+        (a, b), (c, d) = gp.squares, gp.nonsquares
+        assert (a + c, b + d) == (-1, 0)
+        assert (a - c, b - d) == g
+        # the norm a^2 - a b + b^2 of a + b omega is |G|^2 = q
+        assert g[0] ** 2 - g[0] * g[1] + g[1] ** 2 == 3**m
         if m % 2 == 0:
-            q_bar, n_bar = gp.exact_even
-            assert q_bar + n_bar == -1
-            sign = 1 if m % 4 == 2 else -1
-            assert q_bar - n_bar == sign * 3 ** (m // 2)
-        else:
-            assert gp.odd_imag_sign == (1 if m % 4 == 1 else -1)
-            assert abs(gp.squares.real + 0.5) < 1e-9
-    with pytest.raises(ValueError):
-        gauss_periods(0)
+            assert g == ((1 if m % 4 == 2 else -1) * 3 ** (m // 2), 0)
+        fields = (gp.m, *gp.gauss_sum, *gp.squares, *gp.nonsquares)
+        assert all(type(x) is int for x in fields)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -320,15 +323,14 @@ def test_period_counts_equal_trace_table_counts(m):
     squares, nonsquares = weight_dist._period_counts(m)
     for counts, elements in ((squares, F.squares()), (nonsquares, F.nonsquares())):
         assert counts.tolist() == np.bincount(F.trace_table[list(elements)], minlength=3).tolist()
-    # the parent's direct sums over the two classes, to the digits verify-paper prints
+    # the numeric route: a + b omega is the direct sum of omega^tr(x) over the class
     gp = gauss_periods(m)
-    for value, elements in ((gp.squares, F.squares()), (gp.nonsquares, F.nonsquares())):
-        direct = complex(sum(weight_dist._OMEGA[t] for t in F.trace_table[list(elements)].tolist()))
-        assert abs(value - direct) < 1e-9
-        assert round(value.real, 6) == round(direct.real, 6) and round(value.imag, 6) == round(direct.imag, 6)
+    for (a, b), elements in ((gp.squares, F.squares()), (gp.nonsquares, F.nonsquares())):
+        direct = vector_char_sum(F.trace_table[list(elements)])
+        assert abs(a + b * OMEGA[1] - direct) < 1e-9
 
 
-@pytest.mark.parametrize("bad", [0, -1, 9, True, 2.0])
+@pytest.mark.parametrize("bad", [0, -1, 9, True, 2.0, "3", None])
 def test_gauss_periods_refuse_bad_degrees(bad):
     # answers for 1 and 2 must not stand in for True and 2.0, which equal them
     gauss_periods(1)
