@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
+from .gf3m import positive_integer
 from .trace_code import CodeSpec, build_code, gray_positions
 
 
@@ -40,9 +41,9 @@ def griesmer_sum(K: int, d: int) -> int:
     """sum_{j=0}^{K-1} ceil(d / 3^j), each term the ceiling of the last over 3.
 
     ceil(ceil(d / 3^j) / 3) = ceil(d / 3^{j+1}), so no power of 3 is formed.
+    ValueError unless K and d are positive integers (not bools).
     """
-    if K < 1 or d < 1:
-        raise ValueError("K and d must be positive")
+    K, d = positive_integer(K, "K"), positive_integer(d, "d")
     total, term = 0, d
     for _ in range(K):
         total += term
@@ -99,7 +100,8 @@ def closed_form_sum_d_plus_1(m: int, kind: str) -> tuple[tuple[int, ...], int]:
     on the m or kind code_length refuses, and for lprime at even m, which
     is three-weight.
     """
-    code_length(m, kind)  # ValueError unless m is a positive int and kind a known kind
+    m = positive_integer(m)
+    code_length(m, kind)  # ValueError unless kind is a known kind
     if kind == KIND_LPRIME and m % 2 == 0:
         raise ValueError(
             "the lprime family is two-weight only for odd m; even m has a "
@@ -240,17 +242,3 @@ def verdict(spec: CodeSpec) -> BoundsVerdict:
         witness=witness,
         notes=tuple(notes),
     )
-
-
-def verdict_json(v: BoundsVerdict) -> dict:
-    return {
-        "N": v.N,
-        "K": v.K,
-        "d": v.d,
-        "griesmer_sum_d": v.griesmer_sum_d,
-        "griesmer_sum_d1": v.griesmer_sum_d1,
-        "optimal": v.optimal,
-        "dual_distance": v.dual_distance,
-        "witness": [list(pair) for pair in v.witness] if v.witness else None,
-        "notes": list(v.notes),
-    }

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3m import GF3m, _integer, get_field
+from .gf3m import GF3m, get_field, positive_integer
 
 Triple = tuple[int, int, int]
 
@@ -56,9 +56,7 @@ SCOPE_MAX_M = {
 def require_scope(scope: str, m: int) -> int:
     """m as a Python int; ValueError unless it is an integer (not a bool) in 1..SCOPE_MAX_M[scope]."""
     limit = SCOPE_MAX_M[scope]
-    degree = _integer(m)
-    if degree is None or degree < 1:
-        raise ValueError(f"{scope}: m must be a positive integer, got {m!r}")
+    degree = positive_integer(m, f"{scope}: m")
     if degree > limit:
         raise ValueError(f"{scope}: supported for m <= {limit}, got m={m}")
     return degree
@@ -140,7 +138,7 @@ class ChainRing:
         return (F.add(F.sub(x1, x2), x3), F.add(x2, x3), x3)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit a numpy 2
 def get_ring(m: int) -> ChainRing:
     return ChainRing(get_field(m))
 
@@ -193,8 +191,7 @@ def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
 
 def defining_set_size(m: int, kind: str) -> int:
     """|L| without materializing: (3^{3m} - 3^{2m}) / 2 for lprime, undivided for units."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = positive_integer(m)
     if kind not in KINDS:
         raise ValueError(f"unknown defining set kind {kind!r}")
     units = 3 ** (3 * m) - 3 ** (2 * m)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 from .bounds import (
@@ -34,16 +34,14 @@ from .bounds import (
     dual_weight_search,
     sphere_packing_t1,
     verdict,
-    verdict_json,
 )
 from .chain_ring import KIND_LPRIME, KIND_UNITS, KINDS, code_length
 from .sss import access_structure, massey_shares, minimality_report, reconstruct
-from .trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code, export_generators
+from .trace_code import LAYOUTS, CodeSpec, build_code, export_generators
 from .weight_dist import (
     WeightDistribution,
     charsum_distribution,
     distribution_csv,
-    distribution_json,
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
@@ -116,6 +114,19 @@ def _distribution_text(spec: CodeSpec, dist: WeightDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(result) -> dict:
+    """A result dataclass's JSON payload: its fields by name, in order, less any left at a None default.
+
+    Shallow: the values are the instance's own, not deep copies.  Each is
+    one json writes as it is (int keys as strings, tuples as arrays).
+    """
+    return {f.name: v for f in fields(result) if (v := getattr(result, f.name)) is not None or f.default is not None}
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -137,7 +148,7 @@ def cmd_weights(args) -> int:
     if dist is None:
         return 1
     if args.output == "json":
-        sys.stdout.write(json.dumps(distribution_json(dist), indent=2) + "\n")
+        sys.stdout.write(_json(_fields(dist)))
     elif args.output == "csv":
         sys.stdout.write(distribution_csv(dist))
     else:
@@ -149,7 +160,7 @@ def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
     v = verdict(spec)
     if args.output == "json":
-        sys.stdout.write(json.dumps(verdict_json(v), indent=2) + "\n")
+        sys.stdout.write(_json(_fields(v)))
         return 0
     lines = [
         f"[{v.N}, {v.K}, {v.d}] ternary image (m={spec.m}, set={spec.set_kind})",
@@ -168,36 +179,20 @@ def cmd_bounds(args) -> int:
 def cmd_dual(args) -> int:
     spec = _spec_from_args(args)
     cert = dual_weight_search(spec)
-    payload = {
-        "distance": cert.distance,
-        "witness": [list(p) for p in cert.witness],
-        "weight1_exhausted": cert.weight1_exhausted,
-    }
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(_fields(cert)))
     else:
         sys.stdout.write(
             f"dual distance {cert.distance} (weight 1 exhausted: "
-            f"{cert.weight1_exhausted})\nwitness: {payload['witness']}\n"
+            f"{cert.weight1_exhausted})\nwitness: {[list(p) for p in cert.witness]}\n"
         )
     return 0
-
-
-def _access_payload(code: TernaryCode):
-    acc = access_structure(code)
-    return acc, {
-        "secret_position": acc.secret_position,
-        # json writes tuples as arrays
-        "minimal_access_sets": acc.minimal_access_sets,
-        "dictators": acc.dictators,
-        "convention": acc.convention,
-    }
 
 
 def cmd_sss(args) -> int:
     spec = _spec_from_args(args)
     code = build_code(spec)
-    acc, payload = _access_payload(code)
+    acc = access_structure(code)
     round_trip = None
     if acc.minimal_access_sets:
         group = acc.minimal_access_sets[0]
@@ -210,10 +205,11 @@ def cmd_sss(args) -> int:
                 ok = False
             if not ok:
                 round_trip = "failed"
-    if round_trip is not None:
-        payload["round_trip"] = round_trip
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        payload = _fields(acc)  # a new dict: round_trip never reaches the frozen instance
+        if round_trip is not None:
+            payload["round_trip"] = round_trip
+        sys.stdout.write(_json(payload))
     else:
         lines = [
             f"secret at position {acc.secret_position} "
@@ -236,8 +232,7 @@ def cmd_export(args) -> int:
     if args.format == "generators":
         text = export_generators(build_code(spec))
     elif args.format == "access":
-        _, payload = _access_payload(build_code(spec))
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(_fields(access_structure(build_code(spec))))
     else:
         dist = _resolve_distribution(args, spec)
         if dist is None:
@@ -245,7 +240,7 @@ def cmd_export(args) -> int:
         if args.format == "csv":
             text = distribution_csv(dist)
         else:
-            text = json.dumps(distribution_json(dist), indent=2) + "\n"
+            text = _json(_fields(dist))
     _emit(text, args.out)
     return 0
 
@@ -340,7 +335,7 @@ def _dual_claim(kind: str, m: int) -> dict:
     cert = dual_weight_search(CodeSpec(m=m, set_kind=kind))
     return {
         "expected": {"distance": 2},
-        "computed": {"distance": cert.distance, "witness": [list(p) for p in cert.witness]},
+        "computed": {"distance": cert.distance, "witness": cert.witness},
         "checked": {"distance": cert.distance},
     }
 
@@ -419,20 +414,7 @@ def cmd_verify(args) -> int:
     for c in claims:
         counts[c.status] += 1
     if args.output == "json":
-        payload = {
-            "claims": [
-                {
-                    "id": c.id,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "status": c.status,
-                    **({"note": c.note} if c.note else {}),
-                }
-                for c in claims
-            ],
-            "summary": counts,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json({"claims": [_fields(c) for c in claims], "summary": counts}))
     else:
         for c in claims:
             line = f"{c.status:9} {c.id}"

@@ -135,6 +135,14 @@ def _integer(x) -> int | None:
         return None
 
 
+def positive_integer(x, name: str = "m") -> int:
+    """x as a Python int; ValueError unless it is a positive integer (not a bool)."""
+    value = _integer(x)
+    if value is None or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {x!r}")
+    return value
+
+
 def _degree(m) -> int:
     """m as a Python int; ValueError unless it is an integer (not a bool) in 1..MAX_DEGREE."""
     degree = _integer(m)
@@ -364,6 +372,6 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit a numpy 2
 def get_field(m: int) -> GF3m:
     return GF3m(m)

@@ -72,7 +72,7 @@ from .chain_ring import (
     get_ring,
     require_scope,
 )
-from .gf3m import get_field
+from .gf3m import get_field, positive_integer
 
 LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
@@ -88,8 +88,7 @@ class CodeSpec:
     layout: str = LAYOUT_INTERLEAVED
 
     def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", positive_integer(self.m))  # frozen: a numpy int is stored as int
         if self.set_kind not in KINDS:
             raise ValueError(f"unknown defining set kind {self.set_kind!r}")
         if self.layout not in LAYOUTS:

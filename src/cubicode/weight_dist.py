@@ -39,8 +39,6 @@ from .chain_ring import KIND_LPRIME, allowed_x1, code_length, defining_set_gener
 from .gf3m import get_field, trace_form
 from .trace_code import CodeSpec, get_eval_context
 
-_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
-
 
 # ---------------------------------------------------------------------------
 # quadratic character sums
@@ -109,9 +107,14 @@ def gauss_periods(m: int) -> GaussPeriods:
 
 
 def codeword_char_sum(spec: CodeSpec, scalars) -> np.ndarray:
-    """theta(a) = sum_t #{j : y_j = t} omega^t over the Gray image y of ev(a), per scalar index a."""
+    """theta(a) = sum_t c_t omega^t, c_t = #{j : y_j = t} over the Gray image y of ev(a), per scalar index a.
+
+    Exact in Z[omega] as in gauss_periods: the int64 pair (c_0 - c_2, c_1 - c_2)
+    meaning a + b omega, so the result has shape (len(scalars), 2).
+    """
     words = get_eval_context(spec.m, spec.set_kind).trace_triples(scalars)
-    return np.stack([(words == t).sum(axis=(1, 2)) for t in range(3)], axis=-1) @ _OMEGA
+    c0, c1, c2 = ((words == t).sum(axis=(1, 2)) for t in range(3))
+    return np.stack([c0 - c2, c1 - c2], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +260,3 @@ def distribution_csv(dist: WeightDistribution) -> str:
     lines = ["weight,frequency"]
     lines += [f"{w},{f}" for w, f in sorted(dist.entries.items())]
     return "\n".join(lines) + "\n"
-
-
-def distribution_json(dist: WeightDistribution) -> dict:
-    return {
-        "entries": {str(w): f for w, f in sorted(dist.entries.items())},
-        "total": dist.total,
-        "method": dist.method,
-    }

@@ -73,17 +73,14 @@ def char_sum_weights(spec: CodeSpec) -> np.ndarray:
     """Lee weight of ev(a) for every scalar as w = (2N - theta(a) - theta(2a)) / 3.
 
     sum_{s=1,2} Theta(s y) = 2N - 3 wH(y) for a ternary vector y of length
-    N.  2a = -a negates each base-3 digit of the nilpotent index.  A w
-    1e-6 or more off an integer fails an assertion.
+    N.  theta(2a) is the conjugate of theta(a) = a + b omega, so
+    theta(a) + theta(2a) = 2a - b and w = (2N - 2a + b) / 3 in integers.
+    A numerator not divisible by 3 fails an assertion.
     """
-    place = 3 ** np.arange(3 * spec.m)
-    every = np.arange(3 ** (3 * spec.m))
-    doubled = (-(every[:, None] // place) % 3) @ place
-    theta = codeword_char_sum(spec, every)
-    w = (2 * code_length(spec.m, spec.set_kind) - theta - theta[doubled]) / 3
-    nearest = np.rint(w.real)
-    assert np.abs(w - nearest).max() < 1e-6
-    return nearest.astype(np.int64)
+    a, b = codeword_char_sum(spec, np.arange(3 ** (3 * spec.m))).T
+    numerator = 2 * code_length(spec.m, spec.set_kind) - 2 * a + b
+    assert not (numerator % 3).any()
+    return numerator // 3
 
 
 def vector_char_sum(y) -> complex:

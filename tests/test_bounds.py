@@ -7,7 +7,6 @@ from cubicode.bounds import (
     griesmer_sum,
     sphere_packing_t1,
     verdict,
-    verdict_json,
 )
 from cubicode.trace_code import CodeSpec
 
@@ -153,9 +152,8 @@ def test_verdicts(kind, m):
     else:
         assert v.dual_distance is None and v.witness is None
         assert skipped in v.notes
-    payload = verdict_json(v)
-    assert payload["optimal"] == optimal
-    assert payload["griesmer_sum_d"] == v.griesmer_sum_d
+    assert v.optimal == optimal
+    assert v.griesmer_sum_d == griesmer_sum(K, d)
 
 
 def test_verdict_m2_lprime_sums():

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from cubicode.bounds import closed_form_sum_d_plus_1, griesmer_sum
 from cubicode.chain_ring import (
     KIND_LPRIME,
     KIND_UNITS,
@@ -12,10 +14,11 @@ from cubicode.chain_ring import (
     defining_set_generators,
     defining_set_size,
     get_ring,
+    require_scope,
 )
 from cubicode.gf3m import get_field
-from cubicode.trace_code import get_eval_context
-from cubicode.weight_dist import scalar_orbits
+from cubicode.trace_code import CodeSpec, get_eval_context
+from cubicode.weight_dist import gauss_periods, scalar_orbits
 from ring_reference import standard_elements
 
 
@@ -93,6 +96,37 @@ def test_sizes_need_a_positive_integer_m(function, bad):
     function(2, KIND_UNITS)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         function(bad, KIND_UNITS)
+
+
+# every entry point that takes a degree-like positive integer, by one rule (gf3m.positive_integer)
+INTEGER_ENTRY_POINTS = {
+    "CodeSpec": CodeSpec,
+    "defining_set_size": lambda m: defining_set_size(m, KIND_UNITS),
+    "code_length": lambda m: code_length(m, KIND_UNITS),
+    "closed_form_sum_d_plus_1": lambda m: closed_form_sum_d_plus_1(m, KIND_UNITS),
+    "griesmer_sum K": lambda K: griesmer_sum(K, 3),
+    "griesmer_sum d": lambda d: griesmer_sum(3, d),
+    "require_scope": lambda m: require_scope("closed form", m),
+    "gauss_periods": gauss_periods,
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", 0, -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+def test_one_integer_rule_for_degrees(name, bad):
+    entry = INTEGER_ENTRY_POINTS[name]
+    # a numpy int answers as the Python int, down to the repr (CodeSpec stores m as int)
+    assert repr(entry(np.int64(2))) == repr(entry(2))
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        entry(bad)
+
+
+@pytest.mark.parametrize("cached", [get_field, get_ring])
+def test_a_numpy_degree_in_the_cache_does_not_answer_a_float(cached):
+    cached(np.int64(2))
+    for bad in (2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="extension degree"):
+            cached(bad)
 
 
 @pytest.mark.parametrize("kind", ("bogus", "LPRIME", ""))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import cubicode
-from cubicode.cli import build_claims, build_parser, main
+from cubicode.bounds import BoundsVerdict, DualWitness
+from cubicode.cli import Claim, build_claims, build_parser, main
+from cubicode.sss import AccessStructure
 from cubicode.trace_code import CodeSpec
-from cubicode.weight_dist import charsum_distribution, formula_distribution
+from cubicode.weight_dist import WeightDistribution, charsum_distribution, formula_distribution
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
 
@@ -273,6 +276,42 @@ def test_export_access_json(capsys):
     assert len(payload["minimal_access_sets"]) == 8
     # census only: the share round trip belongs to the sss subcommand
     assert "round_trip" not in payload
+
+
+def field_names(result_type) -> list[str]:
+    return [f.name for f in dataclasses.fields(result_type)]
+
+
+@pytest.mark.parametrize(
+    "argv,result_type",
+    (
+        (("weights", "--m", "2", "--output", "json"), WeightDistribution),
+        (("export", "--m", "2", "--set", "units", "--format", "json"), WeightDistribution),
+        (("bounds", "--m", "1", "--output", "json"), BoundsVerdict),
+        (("bounds", "--m", "4", "--set", "units", "--output", "json"), BoundsVerdict),
+        (("dual", "--m", "2", "--layout", "block", "--output", "json"), DualWitness),
+        (("export", "--m", "1", "--set", "units", "--format", "access"), AccessStructure),
+    ),
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else value.__name__,
+)
+def test_json_payload_keys_are_the_result_fields_in_order(capsys, argv, result_type):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert list(json.loads(out)) == field_names(result_type)
+
+
+def test_sss_and_verify_paper_payloads_are_their_fields_in_order(capsys):
+    code, out, _ = run(capsys, "sss", "--m", "1", "--seed", "3", "--output", "json")
+    assert code == 0
+    assert list(json.loads(out)) == [*field_names(AccessStructure), "round_trip"]
+    code, out, _ = run(capsys, "verify-paper", "--output", "json")
+    assert code == 0
+    claims = json.loads(out)["claims"]
+    # a claim's note is left out when it is None, which it is on every match
+    for claim in claims:
+        names = field_names(Claim)
+        assert list(claim) == (names if claim["status"] == "flagged" else names[:-1])
+    assert {claim["status"] for claim in claims} == {"match", "flagged"}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -12,12 +13,12 @@ import cubicode
 from cubicode import weight_dist
 from cubicode.bounds import verdict
 from cubicode.chain_ring import allowed_x1, code_length, defining_set, get_ring
+from cubicode.cli import main
 from cubicode.gf3m import get_field
 from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
     distribution_csv,
-    distribution_json,
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
@@ -207,7 +208,7 @@ def test_lprime_multiple_of_four_answers(m):
     dist = formula_distribution(spec)
     assert dist.entries == charsum_distribution(spec).entries
     assert len(dist.entries) == 4
-    assert "note" not in distribution_json(dist)
+    assert "note" not in {f.name for f in dataclasses.fields(dist)}
     assert verdict(spec).d == dist.min_nonzero_weight == 3 ** (3 * m) - 3 ** (5 * m // 2)
 
 
@@ -404,12 +405,12 @@ def test_char_sum_weight_equals_direct_weight_m1():
 def test_codeword_char_sum_takes_an_array_of_indices():
     spec = CodeSpec(m=1, set_kind="lprime")
     theta = weight_dist.codeword_char_sum(spec, np.array([0, 13, 26]))
-    assert theta.shape == (3,)
-    # ev(0) is the zero word: theta(0) = N
-    assert theta[0] == pytest.approx(code_length(1, "lprime"))
+    assert theta.shape == (3, 2) and theta.dtype.kind == "i"
+    # ev(0) is the zero word: theta(0) = N + 0 omega
+    assert theta[0].tolist() == [code_length(1, "lprime"), 0]
     words = get_eval_context(1, "lprime").trace_triples([13, 26])
-    for word, value in zip(words, theta[1:]):
-        assert value == pytest.approx(vector_char_sum(word.reshape(-1)))
+    for word, (a, b) in zip(words, theta[1:].tolist()):
+        assert a + b * OMEGA[1] == pytest.approx(vector_char_sum(word.reshape(-1)))
 
 
 def test_charsum_distribution_m2():
@@ -490,12 +491,12 @@ def test_hamming_identity_on_random_vectors():
             assert total == pytest.approx(2 * n - 3 * int((y != 0).sum()), abs=1e-9)
 
 
-def test_serializations():
+def test_serializations(capsys):
     dist = formula_distribution(CodeSpec(m=1))
     csv = distribution_csv(dist)
     assert csv.splitlines()[0] == "weight,frequency"
     assert csv.splitlines()[1:] == ["0,1", "18,24", "27,2"]
-    payload = distribution_json(dist)
+    assert main(["weights", "--m", "1", "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["entries"] == {"0": 1, "18": 24, "27": 2}
-    assert payload["method"] == "formula"
-    json.dumps(payload)
+    assert payload["method"] == dist.method == "formula"
