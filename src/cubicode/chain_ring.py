@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3m import GF3m, get_field, positive_integer
+from .gf3m import GF3m, get_field, per_degree, positive_integer
 
 Triple = tuple[int, int, int]
 
@@ -36,10 +36,8 @@ KINDS = (KIND_LPRIME, KIND_UNITS)
 # The one scope table: the largest extension degree m each exhaustive,
 # materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
-    # evaluated over its grid X1 x F x F (and materialized as an (|L|, 3)
-    # array for the group action); bounds G, the dual certificate, the
-    # structural checks (injectivity, group action, quasi-cyclic shift) and
-    # the enumeration
+    # evaluated over its grid X1 x F x F; bounds G, the dual certificate, the
+    # enumeration and the structural checks (linalg3.rank tests on G)
     "defining set": 3,
     "Gauss periods": 8,
     # formula and bounds: above this some exact output has more digits than
@@ -138,7 +136,7 @@ class ChainRing:
         return (F.add(F.sub(x1, x2), x3), F.add(x2, x3), x3)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit a numpy 2
+@per_degree()
 def get_ring(m: int) -> ChainRing:
     return ChainRing(get_field(m))
 
@@ -203,14 +201,13 @@ def code_length(m: int, kind: str) -> int:
     return 3 * defining_set_size(m, kind)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
+@per_degree(functools.partial(require_scope, "defining set"))
 def defining_set(m: int, kind: str) -> DefiningSet:
     """The defining set L of the kind at degree m, materialized in canonical order.
 
     The (|X1|, q, q, 3) grid of nilpotent triples is written by
     broadcasting into one read-only (|L|, 3) int64 array.
     """
-    require_scope("defining set", m)
     F = get_field(m)
     q = F.q
     x1 = np.array(allowed_x1(F, kind), dtype=np.int64)

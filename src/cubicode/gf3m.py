@@ -78,49 +78,6 @@ def _is_irreducible(f) -> bool:
     return all(any(_poly_rem(f, g)) for d in range(2, (len(f) - 1) // 2 + 1) for g in _irreducibles(d))
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
-def smallest_irreducible(m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m in the digit encoding order, found once per degree.
-
-    ValueError unless m is an integer (not a bool) in 1..MAX_DEGREE.
-    """
-    m = _degree(m)
-    for tail in range(3**m):
-        f = tuple(_digits(tail, m)) + (1,)
-        if _is_irreducible(f):
-            return f
-    raise RuntimeError(f"no irreducible polynomial of degree {m}")  # unreachable
-
-
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
-def trace_form(m: int) -> np.ndarray:
-    """The (m, m) int64 matrix B of the trace form in the polynomial basis, read-only.
-
-    With x a root of the modulus f, its conjugates x^(3^i) are all the
-    roots, so p_k = tr(x^k) is the k-th power sum of the roots of f.
-    Newton's identities give the p_k from the coefficients of
-    f = x^m + c_1 x^(m-1) + ... + c_m alone:
-
-        p_0 = m,  p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k)   (k <= m),
-        p_k = -(c_1 p_(k-1) + ... + c_m p_(k-m))                      (k > m),
-
-    all mod 3.  B[i, j] = p_(i+j) for k = i + j <= 2m - 2, so for digit
-    vectors d(y), d(z) of y and z, tr(y z) = d(y)^T B d(z) mod 3 and
-    tr(y) = B[0] . d(y).  B is a Hankel matrix: its row 0 holds
-    p_0 .. p_(m-1) and its last row p_(m-1) .. p_(2m-2).  Built once per
-    degree; ValueError as smallest_irreducible.
-    """
-    c = smallest_irreducible(m)[::-1]  # c[j] is the coefficient of x^(m-j), c[0] = 1
-    m = len(c) - 1
-    p = [m % 3]
-    for k in range(1, 2 * m - 1):
-        s = sum(c[j] * p[k - j] for j in range(1, min(k, m + 1)))
-        if k <= m:
-            s += k * c[k]
-        p.append(-s % 3)
-    return _read_only(np.array([p[i : i + m] for i in range(m)], dtype=np.int64))
-
-
 def _integer(x) -> int | None:
     """x as a Python int, or None for bools and non-integers.
 
@@ -149,6 +106,62 @@ def _degree(m) -> int:
     if degree is None or not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"extension degree must be an integer in 1..{MAX_DEGREE}, got {m!r}")
     return degree
+
+
+def per_degree(degree=_degree):
+    """Cache f(m, *args) once per degree(m), so np.int64(2) gets the object of 2.
+
+    A typed cache answers repeated calls; on its miss degree raises
+    ValueError on bools, floats and strings before the per-degree cache.
+    """
+
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=None)(build)
+        front = functools.lru_cache(maxsize=None, typed=True)(lambda m, *args: cached(degree(m), *args))
+        return functools.wraps(build)(front)
+
+    return decorate
+
+
+@per_degree()
+def smallest_irreducible(m: int) -> tuple[int, ...]:
+    """First monic irreducible of degree m in the digit encoding order, found once per degree.
+
+    ValueError unless m is an integer (not a bool) in 1..MAX_DEGREE.
+    """
+    for tail in range(3**m):
+        f = tuple(_digits(tail, m)) + (1,)
+        if _is_irreducible(f):
+            return f
+    raise RuntimeError(f"no irreducible polynomial of degree {m}")  # unreachable
+
+
+@per_degree()
+def trace_form(m: int) -> np.ndarray:
+    """The (m, m) int64 matrix B of the trace form in the polynomial basis, read-only.
+
+    With x a root of the modulus f, its conjugates x^(3^i) are all the
+    roots, so p_k = tr(x^k) is the k-th power sum of the roots of f.
+    Newton's identities give the p_k from the coefficients of
+    f = x^m + c_1 x^(m-1) + ... + c_m alone:
+
+        p_0 = m,  p_k = -(c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k)   (k <= m),
+        p_k = -(c_1 p_(k-1) + ... + c_m p_(k-m))                      (k > m),
+
+    all mod 3.  B[i, j] = p_(i+j) for k = i + j <= 2m - 2, so for digit
+    vectors d(y), d(z) of y and z, tr(y z) = d(y)^T B d(z) mod 3 and
+    tr(y) = B[0] . d(y).  B is a Hankel matrix: its row 0 holds
+    p_0 .. p_(m-1) and its last row p_(m-1) .. p_(2m-2).  Built once per
+    degree; ValueError as smallest_irreducible.
+    """
+    c = smallest_irreducible(m)[::-1]  # c[j] is the coefficient of x^(m-j), c[0] = 1
+    p = [m % 3]
+    for k in range(1, 2 * m - 1):
+        s = sum(c[j] * p[k - j] for j in range(1, min(k, m + 1)))
+        if k <= m:
+            s += k * c[k]
+        p.append(-s % 3)
+    return _read_only(np.array([p[i : i + m] for i in range(m)], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +385,6 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit a numpy 2
+@per_degree()
 def get_field(m: int) -> GF3m:
     return GF3m(m)

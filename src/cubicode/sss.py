@@ -265,7 +265,7 @@ def massey_shares(code: TernaryCode, secret: int, seed: int | None = None) -> di
     # trit is its own inverse.  The float64 products are exact: each entry
     # is an integer of at most 4N, far below 2^53
     partial = red.float_rows @ x
-    x[j] = (-int(red.rows[0, j]) * (secret + int(partial[0]))) % 3
+    x[j] = (-int(red.float_rows[0, j]) * (secret + int(partial[0]))) % 3
     x[red.pivots] = -(partial + red.float_rows[:, j] * x[j]) % 3
     if x[0] != secret or ((red.float_generators @ x) % 3).any():
         raise ArithmeticError("the sampled word is not a dual codeword carrying the secret")

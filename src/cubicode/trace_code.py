@@ -43,11 +43,12 @@ wt(a) = 3 #{v in V : sum_i tr(a_i v_i) != 0}, which
 weight_dist.charsum_distribution and formula_distribution stand on.
 
 ev is F_3-linear, so every code here is the F_3 row space of its
-generator matrix G, and the structural checks decide on G alone:
-injectivity is "the 3m basis images have rank 3m", and a coordinate
-permutation maps the code into itself iff the permuted G lies in the row
-space of G; for the group action it suffices to check the 2m + 1
-generators of L.  All checks are exact, with no sampling, for m <= 3.
+generator matrix G, and the structural checks decide on G alone, by
+linalg3.rank: injectivity is "the 3m basis images have rank 3m", and a
+coordinate permutation pi maps the code onto itself iff
+rank([G; G[:, pi]]) = rank(G); for the group action it suffices to check
+the 2m + 1 generators of L.  All checks are exact, with no sampling, for
+m <= 3.
 G is evaluated once per (m, kind, layout) and shared, read-only, by
 every TernaryCode that build_code returns for that spec; each code keeps
 its own parties, reduction, recombination row and codeword table.
@@ -67,12 +68,11 @@ from .chain_ring import (
     Triple,
     DefiningSet,
     allowed_x1,
-    defining_set,
     defining_set_generators,
     get_ring,
     require_scope,
 )
-from .gf3m import get_field, positive_integer
+from .gf3m import get_field, per_degree, positive_integer
 
 LAYOUT_INTERLEAVED = "interleaved"
 LAYOUT_BLOCK = "block"
@@ -221,10 +221,9 @@ class EvalContext:
         return (_LEE_FROM.take(U, axis=0).sum(axis=(1, 2)) * counts).sum(axis=1)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 1 and 2
+@per_degree(functools.partial(require_scope, "defining set"))
 def get_eval_context(m: int, kind: str) -> EvalContext:
     """The context over the defining set L = X1 x F x F, in its canonical order."""
-    require_scope("defining set", m)
     return EvalContext(m, allowed_x1(get_field(m), kind))
 
 
@@ -248,15 +247,14 @@ def ring_basis(m: int) -> tuple[int, ...]:
 class Reduction(NamedTuple):
     """The reduced row echelon form of a generator matrix G.
 
-    rows holds its rank nonzero rows R (int8), pivots their pivot columns
-    P (an int64 array; R[:, P] is the identity), planes the rows R
-    bit-sliced by linalg3.pack and slot the first column j > 0 with
-    R[0, j] != 0 (None if there is none).  float_rows and
-    float_generators are R and G in float64, for BLAS products with trit
-    vectors: each entry of such a product is an integer of at most 4N.
+    With R its rank nonzero rows, pivots holds their pivot columns P (an
+    int64 array; R[:, P] is the identity), planes the rows R bit-sliced by
+    linalg3.pack and slot the first column j > 0 with R[0, j] != 0 (None
+    if there is none).  float_rows and float_generators are R and G in
+    float64, for BLAS products with trit vectors: each entry of such a
+    product is an integer of at most 4N.
     """
 
-    rows: np.ndarray
     pivots: np.ndarray
     planes: list[linalg3.Planes]
     slot: int | None
@@ -312,7 +310,6 @@ class TernaryCode:
             rows = reduced[: len(pivots)]
             slots = (np.flatnonzero(rows[:1, 1:]) + 1).tolist()
             self._reduction = Reduction(
-                rows,
                 np.array(pivots, dtype=np.int64),
                 linalg3.pack(rows),
                 slots[0] if slots else None,
@@ -373,15 +370,13 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
 
     perm[i] is the position of v * x_i, v in nilpotent coordinates; v must
     lie in the set's multiplicative stabilizer (any set element qualifies).
+    The x_i run over the evaluator's grid X1 x F x F, the columns of G.
     """
-    F = get_field(spec.m)
-    q = F.q
-    x1, x2, x3 = defining_set(spec.m, spec.set_kind).nilpotent.T
-    x1_values = list(allowed_x1(F, spec.set_kind))
+    ctx = get_eval_context(spec.m, spec.set_kind)
+    q, MUL, ADD = ctx.q, ctx.field.mul_table, ctx.field.add_table
     x1_rank = np.full(q, -1, dtype=np.int64)
-    x1_rank[x1_values] = np.arange(len(x1_values))
-    MUL = F.mul_table
-    ADD = F.add_table
+    x1_rank[ctx.x1] = np.arange(len(ctx.x1))
+    x1, x2, x3 = ctx.x1[:, None, None], np.arange(q)[:, None], np.arange(q)
     v1, v2, v3 = v
     p1 = MUL[v1, x1]
     p2 = ADD[MUL[v1, x2], MUL[v2, x1]]
@@ -389,24 +384,17 @@ def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
     r1 = x1_rank[p1]
     if (r1 < 0).any():
         raise ValueError("multiplication by v does not stabilize the defining set")
-    return (r1 * q + p2.astype(np.int64)) * q + p3.astype(np.int64)
+    return ((r1 * q + p2) * q + p3).reshape(-1)
 
 
-def _stays_in_code(code: TernaryCode, perms) -> bool:
+def _stays_in_code(G: np.ndarray, perms) -> bool:
     """True iff G[:, perm] lies in the F_3 row space of G for every perm.
 
-    With R the rows of the code's cached reduction and P their pivot
-    columns, R[:, P] is the identity, so a row y lies in the row space
-    iff y == y[P] @ R (mod 3).  A permutation keeps the dimension, so
-    "maps into the code" is "maps onto the code".
+    It does iff stacking it under G keeps the rank; a permutation keeps
+    the dimension, so "maps into the code" is "maps onto the code".
     """
-    rows, pivots = code.reduction()[:2]
-    R = rows.astype(np.int64)
-    for perm in perms:
-        Y = code.generators[:, perm].astype(np.int64)
-        if ((Y - Y[:, pivots] @ R) % 3).any():
-            return False
-    return True
+    k = linalg3.rank(G)
+    return all(linalg3.rank(np.vstack([G, G[:, perm]])) == k for perm in perms)
 
 
 def check_group_action(spec: CodeSpec) -> bool:
@@ -415,20 +403,19 @@ def check_group_action(spec: CodeSpec) -> bool:
     Decided on the 2m + 1 generators of L (defining_set_generators) and
     the interleaved generator matrix; the spec's layout plays no part.
     """
-    code = build_code(CodeSpec(spec.m, spec.set_kind))
+    G = build_code(CodeSpec(spec.m, spec.set_kind)).generators
     slots = np.arange(3)
     perms = (
         (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
         for v in defining_set_generators(spec.m, spec.set_kind)
     )
-    return _stays_in_code(code, perms)
+    return _stays_in_code(G, perms)
 
 
 def check_quasicyclic(spec: CodeSpec) -> bool:
     """True iff the block-layout image is invariant under a cyclic shift by |L|."""
     if spec.layout != LAYOUT_BLOCK:
         raise ValueError("the shift certification is defined for the block layout")
-    code = build_code(spec)
-    N = code.length
-    shift = (np.arange(N) - N // 3) % N  # y[shift] == np.roll(y, n)
-    return _stays_in_code(code, [shift])
+    G = build_code(spec).generators
+    N = G.shape[1]
+    return _stays_in_code(G, [np.roll(np.arange(N), N // 3)])

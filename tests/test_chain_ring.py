@@ -16,7 +16,7 @@ from cubicode.chain_ring import (
     get_ring,
     require_scope,
 )
-from cubicode.gf3m import get_field
+from cubicode.gf3m import get_field, trace_form
 from cubicode.trace_code import CodeSpec, get_eval_context
 from cubicode.weight_dist import gauss_periods, scalar_orbits
 from ring_reference import standard_elements
@@ -127,6 +127,25 @@ def test_a_numpy_degree_in_the_cache_does_not_answer_a_float(cached):
     for bad in (2.0, np.float64(2.0)):
         with pytest.raises(ValueError, match="extension degree"):
             cached(bad)
+
+
+def test_one_object_per_degree_whatever_the_integer_type():
+    # np.int64(2) and 2 reach one cached object, and that object holds m as a Python int
+    two = np.int64(2)
+    assert get_field(two) is get_field(2)
+    assert trace_form(two) is trace_form(2)
+    assert get_ring(two) is get_ring(2)
+    assert defining_set(two, KIND_UNITS) is defining_set(2, KIND_UNITS)
+    assert get_eval_context(two, KIND_UNITS) is get_eval_context(2, KIND_UNITS)
+    assert get_eval_context(two, KIND_UNITS).field is get_field(2)
+    assert type(defining_set(two, KIND_LPRIME).m) is int
+    for bad in (2.0, True, "2"):
+        for entry in (get_field, get_ring):
+            with pytest.raises(ValueError):
+                entry(bad)
+        for entry in (defining_set, get_eval_context):
+            with pytest.raises(ValueError):
+                entry(bad, KIND_UNITS)
 
 
 @pytest.mark.parametrize("kind", ("bogus", "LPRIME", ""))

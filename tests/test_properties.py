@@ -44,11 +44,11 @@ def all_codewords(G: np.ndarray) -> set[tuple[int, ...]]:
 @given(st.data())
 def test_row_space_test_equals_brute_force_membership(data):
     G = data.draw(ternary_matrices())
-    perm = np.array(data.draw(st.permutations(range(G.shape[1]))), dtype=np.int64)
+    count = data.draw(st.integers(1, 3))
+    perms = [np.array(data.draw(st.permutations(range(G.shape[1]))), dtype=np.int64) for _ in range(count)]
     code = all_codewords(G)
-    brute = all(tuple(row) in code for row in G[:, perm].tolist())
-    ternary = trace_code.TernaryCode(trace_code.CodeSpec(1), G)
-    assert trace_code._stays_in_code(ternary, [perm]) == brute
+    brute = all(tuple(row) in code for perm in perms for row in G[:, perm].tolist())
+    assert trace_code._stays_in_code(G, perms) == brute
 
 
 @PROPERTY

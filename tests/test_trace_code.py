@@ -9,6 +9,7 @@ from cubicode.chain_ring import ChainRing, allowed_x1, defining_set, defining_se
 from cubicode.trace_code import (
     CodeSpec,
     EvalContext,
+    TernaryCode,
     build_code,
     check_group_action,
     check_injectivity,
@@ -365,7 +366,7 @@ def test_generator_check_equals_every_element_check(spec):
         (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)
         for v in map(tuple, defining_set(spec.m, spec.set_kind).nilpotent.tolist())
     )
-    assert check_group_action(spec) == trace_code._stays_in_code(code, perms)
+    assert check_group_action(spec) == trace_code._stays_in_code(code.generators, perms)
 
 
 @pytest.mark.parametrize("spec", [CodeSpec(2, "units"), CodeSpec(3, "lprime")], ids=str)
@@ -421,27 +422,26 @@ def test_quasicyclic_shift():
 
 
 def test_row_space_test_rejects_permutations_that_leave_the_code():
-    code = build_code(CodeSpec(m=2, set_kind="lprime"))
-    swap = np.arange(code.length)
+    G = build_code(CodeSpec(m=2, set_kind="lprime")).generators
+    swap = np.arange(G.shape[1])
     swap[[0, 4]] = swap[[4, 0]]
-    assert not trace_code._stays_in_code(code, [swap])
-    assert trace_code._stays_in_code(code, [np.arange(code.length)])
+    assert not trace_code._stays_in_code(G, [swap])
+    assert trace_code._stays_in_code(G, [np.arange(G.shape[1])])
     for spec in (CodeSpec(1, "lprime", "block"), CodeSpec(2, "units", "block")):
-        code = build_code(spec)
-        N = code.length
-        assert not trace_code._stays_in_code(code, [(np.arange(N) - 1) % N])
-        assert trace_code._stays_in_code(code, [(np.arange(N) - N // 3) % N])
+        G = build_code(spec).generators
+        N = G.shape[1]
+        assert not trace_code._stays_in_code(G, [(np.arange(N) - 1) % N])
+        assert trace_code._stays_in_code(G, [(np.arange(N) - N // 3) % N])
 
 
-def test_row_space_test_reads_the_cached_reduction(monkeypatch):
-    code = build_code(CodeSpec(m=2, set_kind="units"))
-    code.reduction()
+def test_certificates_read_no_reduction(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the certificates need no reduced row echelon form")
 
-    def refuse(*args):
-        raise AssertionError("second reduction")
-
-    monkeypatch.setattr(trace_code.linalg3, "row_reduce", refuse)
-    assert trace_code._stays_in_code(code, [np.arange(code.length)])
+    monkeypatch.setattr(TernaryCode, "reduction", refuse)
+    for kind in ("lprime", "units"):
+        assert check_group_action(CodeSpec(2, kind))
+        assert check_quasicyclic(CodeSpec(2, kind, "block"))
 
 
 def test_eval_context_accepts_explicit_coordinates():
