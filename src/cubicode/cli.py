@@ -10,11 +10,12 @@ Subcommands:
     verify-paper  replay the documented reference results as claim records
 
 Each subcommand is one entry of COMMANDS (help, handler, arguments), and
-build_parser() makes the full parser from the table.  main parses argv
-with the named subcommand's parser alone, built from its entry as
-build_parser builds it.  argv that parser refuses, or that names no
-subcommand, goes to the full parser, so every usage error and help text
-is byte-for-byte the full parser's.
+build_parser() makes the full parser from the table.  main reads plain
+argv (exact long options, each at most once, with values that convert
+and lie in their choices) straight from the named subcommand's entry
+with _match, building no parser.  Anything else (help, abbreviations,
+--opt=value, usage errors) goes to the full parser, so every help text
+and usage error is byte-for-byte the full parser's.
 
 Exit status: 0 when everything checked out (flagged claims included),
 1 when a verification claim mismatched or a round trip failed, 2 on
@@ -488,43 +489,67 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, handler, arguments = COMMANDS[name]
-    for flag, kwargs in arguments:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(command=name, func=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicode",
         description="ternary images of trace codes over F_{3^m}[u]/(u^3 - 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(command=name, func=handler)
     return parser
 
 
-class _Refused(Exception):
-    """The single-subcommand parser met argv it does not accept."""
+# argument kwargs _match reads; an entry with any other falls back to the full parser
+_PLAIN = {"type", "choices", "default", "required", "help", "action"}
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One subcommand's parser, built as build_parser builds it, that refuses instead of exiting."""
+def _match(name: str, args: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser returns for `cubicode NAME ARGS`, or None to leave ARGS to it.
 
-    def error(self, message):
-        raise _Refused
+    Answers only exact long options of NAME's entry, each at most once,
+    with every required one given and each value present, not starting
+    with '-', converted by the entry's type and in its choices.  An entry
+    with a kwarg outside _PLAIN, or an action but store_true, is never answered.
+    """
+    _, handler, arguments = COMMANDS[name]
+    if any(kw.keys() - _PLAIN or kw.get("action", "store_true") != "store_true" for _, kw in arguments):
+        return None
+    options = dict(arguments)
+    given = {}
+    tokens = iter(args)
+    for flag in tokens:
+        kw = options.get(flag)
+        if kw is None or flag in given:
+            return None
+        if "action" in kw:
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as '-'
+        if text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in arguments):
+        return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default", False if "action" in kw else None))
+        for flag, kw in arguments
+    }
+    return argparse.Namespace(**values, command=name, func=handler)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    if argv and argv[0] in COMMANDS:
-        try:
-            return _add_command(_CommandParser(prog=f"cubicode {argv[0]}"), argv[0]).parse_args(argv[1:])
-        except _Refused:
-            pass  # the full parser reports the error, as it always has
-    return build_parser().parse_args(argv)
+    args = _match(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -359,10 +359,9 @@ def check_injectivity(spec: CodeSpec) -> bool:
     """Decide whether a -> ev(a) separates all 3^{3m} scalars.
 
     ev is F_3-linear, so it is injective iff the images of the 3m basis
-    scalars have rank 3m.
+    scalars, the rows of the cached G, have rank 3m.
     """
-    ctx = get_eval_context(spec.m, spec.set_kind)
-    return linalg3.rank(_generator_matrix(ctx, LAYOUT_INTERLEAVED)) == 3 * spec.m
+    return linalg3.rank(build_code(CodeSpec(spec.m, spec.set_kind)).generators) == 3 * spec.m
 
 
 def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicode
+from cubicode import cli
 from cubicode.bounds import BoundsVerdict, DualWitness
 from cubicode.cli import Claim, build_claims, build_parser, main
 from cubicode.sss import AccessStructure
@@ -24,14 +29,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def python_dash_m(*argv):
-    """Run `python -m cubicode ARGV` on this checkout's package."""
+def python_on_checkout(*argv):
+    """Run `python ARGV` with this checkout's package on the path."""
     src = str(Path(cubicode.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-m", "cubicode", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def python_dash_m(*argv):
+    """Run `python -m cubicode ARGV` on this checkout's package."""
+    return python_on_checkout("-m", "cubicode", *argv)
 
 
 def _exit_outcome(capsys, parse, argv):
@@ -432,25 +439,133 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     assert outcome[0] == (0 if "--help" in argv or "-h" in argv else 2)
 
 
-class _Parsed(Exception):
-    """Carries a parsed namespace out of main before the handler runs."""
-
-
 @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
-def test_valid_argv_parse_as_with_the_full_parser(monkeypatch, argv):
+def test_valid_argv_parse_as_with_the_full_parser(argv):
     expected = vars(build_parser().parse_args(list(argv)))
-    parse_args = argparse.ArgumentParser.parse_args
-
-    def stop(parser, args=None, namespace=None):
-        raise _Parsed(parser.prog, parse_args(parser, args, namespace))
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
-    with pytest.raises(_Parsed) as info:
-        main(list(argv))
-    prog, namespace = info.value.args
-    assert prog == f"cubicode {argv[0]}"  # parsed by the subcommand's parser alone
-    assert vars(namespace) == expected
+    assert vars(cli._parse_args(list(argv))) == expected
     assert expected["command"] == argv[0]
+
+
+BENCHMARK_ARGV = ("verify-paper", "--output", "json", "--threads", "1")
+
+# plain argv of every subcommand: exact long options, each once, with values
+PLAIN_ARGV = {
+    "weights": (("weights", "--m", "2", "--set", "units", "--method", "charsum", "--threads", "2", "--output", "csv"),),
+    "bounds": (("bounds", "--m", "1"), ("bounds", "--output", "json", "--m", "3", "--set", "lprime")),
+    "dual": (("dual", "--m", "2", "--layout", "block", "--output", "json"),),
+    "sss": (("sss", "--m", "2", "--seed", "3", "--set", "units", "--layout", "block", "--output", "json"),),
+    "export": (("export", "--m", "1", "--format", "csv", "--method", "enumerate", "--out", "weights.csv", "--threads", "1"),),
+    "verify-paper": (("verify-paper",), ("verify-paper", "--include-slow", "--threads", "3"), BENCHMARK_ARGV),
+}
+
+
+def test_plain_argv_of_every_subcommand_builds_no_parser(monkeypatch):
+    assert PLAIN_ARGV.keys() == cli.COMMANDS.keys()  # no subcommand silently takes the full parser
+    plain = [list(argv) for argvs in PLAIN_ARGV.values() for argv in argvs]
+    expected = [vars(build_parser().parse_args(argv)) for argv in plain]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("plain argv built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [vars(cli._parse_args(argv)) for argv in plain] == expected
+
+
+# argv the full parser may accept but _match leaves to it, each for one reason
+NOT_PLAIN = (
+    ("verify-paper", "--help"),
+    ("verify-paper", "-h"),
+    ("verify-paper", "--out", "json"),  # abbreviation
+    ("verify-paper", "--output=json"),
+    ("verify-paper", "--output", "json", "--output", "text"),  # repeat
+    ("verify-paper", "--include-slow", "--include-slow"),
+    ("verify-paper", "--threads", "1", "extra"),
+    ("verify-paper", "--output"),  # missing value
+    ("export", "--m", "1", "--out", "--m"),  # an option for a value
+    ("sss", "--m", "1", "--seed", "-3"),  # negative number
+    ("export", "--m", "1", "--out", "-"),
+    ("weights", "--m", "abc"),  # type error
+    ("weights", "--m", "1", "--set", "nonsense"),  # choice error
+    ("weights", "--set", "units"),  # missing required option
+)
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
+def test_match_leaves_argv_that_is_not_plain_to_the_full_parser(argv):
+    assert cli._match(argv[0], list(argv[1:])) is None
+
+
+@pytest.mark.parametrize("kwargs", ({"nargs": 1}, {"action": "append"}), ids=str)
+def test_an_entry_with_another_kwarg_falls_back_to_the_full_parser(monkeypatch, kwargs):
+    help_text, handler, arguments = cli.COMMANDS["bounds"]
+    monkeypatch.setitem(cli.COMMANDS, "bounds", (help_text, handler, (*arguments, ("--tag", kwargs))))
+    argv = ["bounds", "--m", "1", "--tag", "a"]
+    assert cli._match(argv[0], argv[1:]) is None
+    assert vars(cli._parse_args(argv)) == {**vars(cli._parse_args(argv[:3])), "tag": ["a"]}
+
+
+def test_no_entry_has_a_type_and_a_string_default():
+    # argparse runs type on a string default, which _match does not mimic
+    for _, _, arguments in cli.COMMANDS.values():
+        for flag, kwargs in arguments:
+            assert not ("type" in kwargs and isinstance(kwargs.get("default"), str)), flag
+
+
+def _argv_tails(name):
+    """Tails of `cubicode NAME` argv: each option of the entry left out, plain, or given a bad
+    value, cut short or as --opt=value, in any order, and maybe one more such group at the end."""
+    arguments = cli.COMMANDS[name][2]
+
+    def plain(flag, kwargs):
+        good = [str(c) for c in kwargs.get("choices", ())] or ["1", "2"]
+        return st.just((flag,)) if "action" in kwargs else st.tuples(st.just(flag), st.sampled_from(good))
+
+    def noisy(flag, kwargs):
+        value = st.sampled_from([*map(str, kwargs.get("choices", ())), "0", "1", "-1", "abc", "-", "--"])
+        cut = st.integers(3, len(flag)).map(lambda n: flag[:n])  # exact or abbreviated
+        return st.one_of(
+            st.tuples(st.just(flag), value), st.tuples(cut, value), st.tuples(cut), st.tuples(value),
+            st.builds("{}={}".format, cut, value).map(lambda token: (token,)),
+        )
+
+    def left_out(flag, kwargs):
+        return st.just(())
+
+    def option(entry):  # one_of would weigh noisy's five branches against plain's one
+        return st.sampled_from((left_out, plain, plain, plain, noisy)).flatmap(lambda form: form(*entry))
+
+    options = st.permutations(arguments).flatmap(lambda entries: st.tuples(*map(option, entries)))
+    extra = st.lists(st.sampled_from(arguments).flatmap(lambda entry: st.one_of(plain(*entry), noisy(*entry))), max_size=1)
+    return st.tuples(options, extra).map(lambda parts: [token for g in (*parts[0], *parts[1]) for token in g])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_match_answers_only_as_the_full_parser_does(data):
+    name = data.draw(st.sampled_from(SUBCOMMANDS))
+    args = data.draw(_argv_tails(name))
+    matched = cli._match(name, args)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args([name, *args]))
+    except SystemExit as exc:
+        assert exc.code == 2 and matched is None
+        return
+    assert matched is None or vars(matched) == expected
+
+
+def test_plain_verify_paper_argv_imports_no_locale():
+    script = (
+        "import contextlib, io, sys\n"
+        "from cubicode import cli\n"
+        "before = 'locale' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({list(BENCHMARK_ARGV)!r})\n"
+        "print(status, before, 'locale' in sys.modules)\n"
+    )
+    done = python_on_checkout("-c", script)
+    status, before, after = done.stdout.split()
+    assert status == "0" and after == before, done.stderr
 
 
 def test_a_non_integer_threads_is_worded_as_for_m(capsys):

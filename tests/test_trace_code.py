@@ -324,12 +324,15 @@ def test_injectivity(spec):
 
 
 def test_injectivity_negative_controls(monkeypatch):
+    def inject(ctx):  # G evaluated over a degenerate context, in place of the cached G
+        monkeypatch.setattr(trace_code, "_cached_generators", lambda m, kind, layout: trace_code._generator_matrix(ctx, layout))
+
     # x1 = 0: every coordinate lies in <u-1>, so the zero divisor
     # (u-1)^2, nilpotent (0, 0, 1), maps to the zero word
-    monkeypatch.setattr(trace_code, "get_eval_context", lambda m, kind: EvalContext(1, [0]))
+    inject(EvalContext(1, [0]))
     assert not check_injectivity(CodeSpec(m=1))
     # x1 = 1 alone: a = (0, 0, a3) with tr(a3) = 0, a3 != 0, maps to the zero word
-    monkeypatch.setattr(trace_code, "get_eval_context", lambda m, kind: EvalContext(2, [1]))
+    inject(EvalContext(2, [1]))
     assert not check_injectivity(CodeSpec(m=2))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="defining set: supported for m <= 3"):
