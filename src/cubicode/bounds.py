@@ -75,6 +75,8 @@ class GriesmerReport:
 
 
 def griesmer(N: int, K: int, d: int) -> GriesmerReport:
+    """The Griesmer report of an [N, K, d]_3 code; ValueError unless N, K and d are positive integers (not bools)."""
+    N, K, d = positive_integer(N, "N"), positive_integer(K, "K"), positive_integer(d, "d")
     if d > N:
         raise ValueError(f"minimum distance {d} exceeds length {N}")
     return GriesmerReport(

@@ -390,10 +390,12 @@ def _stays_in_code(G: np.ndarray, perms) -> bool:
     """True iff G[:, perm] lies in the F_3 row space of G for every perm.
 
     It does iff stacking it under G keeps the rank; a permutation keeps
-    the dimension, so "maps into the code" is "maps onto the code".
+    the dimension, so "maps into the code" is "maps onto the code".  G
+    is packed once, and only G[:, perm] per permutation.
     """
-    k = linalg3.rank(G)
-    return all(linalg3.rank(np.vstack([G, G[:, perm]])) == k for perm in perms)
+    planes = linalg3.pack(G)
+    k = len(linalg3.eliminate(planes)[1])
+    return all(len(linalg3.eliminate(planes + linalg3.pack(G[:, perm]))[1]) == k for perm in perms)
 
 
 def check_group_action(spec: CodeSpec) -> bool:

@@ -12,10 +12,10 @@ With q = 3^m and size = 3^{3m} scalars, the closed forms are
         {0: 1,  2(3^{3m} - 3^{2m}): 3^{3m} - 3^m,  2 * 3^{3m}: 3^m - 1}
 
 formula_distribution proves them from the column lemma (trace_code)
-and the quadratic Gauss sum.  The enumeration path scores one scalar per
-orbit of L (scalar_orbits), 7 for lprime and 4 for units, against the
-whole defining set and counts its Lee weight with the orbit's size:
-ev(v a) permutes the coordinates of ev(a) for v in L.
+and the quadratic Gauss sum.  Each route returns one Lee weight per
+orbit of L (scalar_orbits), 7 for lprime and 4 for units: ev(v a)
+permutes the coordinates of ev(a) for v in L.  The enumeration path
+scores one scalar per orbit against the whole defining set.
 
 The charsum path scores the same orbits with no field and no evaluator,
 by the column lemma: wt(a) = 3 #{v in V : sum tr(a_i v_i) != 0} with
@@ -24,19 +24,19 @@ otherwise counts the y in a3 X1 with tr(y) != 0: integer trace counts
 over the squares, the nonsquares or F*, the same counts the Gauss
 periods are formed from.
 
-Every produced distribution is checked against the two exact invariants
-sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.
+_finish counts each weight with its orbit's size and checks the two
+invariants sum f = 3^{3m} and sum w f = 2 N 3^{3m-1}.  The routes are
+compared orbit by orbit, so two equal-sized orbits cannot swap weights.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain_ring import KIND_LPRIME, allowed_x1, code_length, defining_set_generators, require_scope
-from .gf3m import get_field, trace_form
+from .gf3m import get_field, positive_integer, trace_form
 from .trace_code import CodeSpec, get_eval_context
 
 
@@ -128,6 +128,7 @@ class WeightDistribution:
     entries: dict[int, int]
     total: int
     method: str  # 'enumerated' | 'formula' | 'charsum'
+    orbit_weights: tuple[int, ...] = field(default=(), repr=False)  # in scalar_orbits order; not exported
 
     @property
     def min_nonzero_weight(self) -> int:
@@ -144,14 +145,24 @@ def _validate(entries: dict[int, int], m: int, kind: str) -> None:
         raise ArithmeticError("first moment identity violated")
 
 
-def _finish(counts: Counter, spec: CodeSpec, method: str):
-    entries = {int(w): int(counts[w]) for w in sorted(counts)}
+def _finish(weights: list[int], spec: CodeSpec, method: str) -> WeightDistribution:
+    """The validated histogram of the orbit weights (scalar_orbits order), each counted with its orbit's size."""
+    entries = dict.fromkeys(sorted(weights), 0)
+    for w, size in zip(weights, orbit_sizes(spec.m, spec.set_kind), strict=True):
+        entries[w] += size
     _validate(entries, spec.m, spec.set_kind)
-    return WeightDistribution(entries=entries, total=3 ** (3 * spec.m), method=method)
+    return WeightDistribution(entries, 3 ** (3 * spec.m), method, tuple(weights))
+
+
+def orbit_sizes(m: int, kind: str) -> tuple[int, ...]:
+    """The scalar_orbits sizes with no field: 1, then |X1| q^2, |X1| q, |X1| per coset of X1, squares first."""
+    q = 3 ** positive_integer(m)
+    x1 = code_length(m, kind) // (3 * q * q)
+    return (1, *(x1 * q * q, x1 * q, x1) * ((q - 1) // x1))
 
 
 def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbits of L on the 3^{3m} scalar indices: (representatives, sizes).
+    """Orbits of L on the 3^{3m} scalar indices: (representatives, orbit_sizes).
 
     ev(v a)_x = ev(a)_{v x} and x -> v x permutes L for v in L, so an
     orbit has one Lee weight.  L is the set of units whose first nilpotent
@@ -170,36 +181,34 @@ def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if {F.pow(gamma, k) for k in range(q - 1)} != x1:
         raise ArithmeticError(f"the allowed x1 of the {kind} set are not the subgroup <{gamma}> at m={m}")
     cosets = [F.pow(F.generator, j) for j in range((q - 1) // len(x1))]
-    shifts = (q * q, q, 1)
-    reps = (0, *(c * shift for c in cosets for shift in shifts))
-    sizes = (1, *(len(x1) * shift for _ in cosets for shift in shifts))
-    return reps, sizes
+    return (0, *(c * shift for c in cosets for shift in (q * q, q, 1))), orbit_sizes(m, kind)
+
+
+def _class_orbit_weights(q: int, zero_weights: tuple[int, ...]) -> list[int]:
+    """0, then per class c X1 its (c, 0, 0) and (0, c, 0) weight 2 |X1| q^2 and its (0, 0, c) weight."""
+    w = 2 * (q - 1) // len(zero_weights) * q * q
+    return [0, *(x for z in zero_weights for x in (w, w, z))]
 
 
 def enumerate_distribution(spec: CodeSpec, threads: int = 1) -> WeightDistribution:
     """Brute force: the Lee weight of ev(a) for one scalar a per L-orbit.
 
-    Each weight counts with its orbit's size, so the histogram covers
-    all 3^{3m} scalars (scalar_orbits, which refuses a set of allowed x1
-    that is not a cyclic subgroup).  The representatives are scored in
-    one EvalContext.lee_weights call.  threads must be at least 1 and
-    changes neither the work nor the result.
+    scalar_orbits refuses allowed x1 that are not a cyclic subgroup.  The
+    representatives are scored in one EvalContext.lee_weights call.
+    threads must be a positive integer and changes neither the work nor
+    the result.
     """
     require_scope("defining set", spec.m)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    reps, sizes = scalar_orbits(spec.m, spec.set_kind)
-    counts: Counter = Counter()
-    for w, size in zip(get_eval_context(spec.m, spec.set_kind).lee_weights(reps).tolist(), sizes):
-        counts[w] += size
-    return _finish(counts, spec, "enumerated")
+    positive_integer(threads, "threads")
+    reps, _ = scalar_orbits(spec.m, spec.set_kind)
+    return _finish(get_eval_context(spec.m, spec.set_kind).lee_weights(reps).tolist(), spec, "enumerated")
 
 
 def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
-    """Orbit weights from the Gauss period counts in integers, with the scalar_orbits sizes.
+    """Orbit weights from the Gauss period counts in integers.
 
-    Each (c, 0, 0) and (0, c, 0) orbit weighs 2 |X1| q^2, and each
-    (0, 0, c) orbit 3 q^2 (|X1| - z) with z = #{y in c X1 : tr(y) = 0}.
+    Each (0, 0, c) orbit weighs 3 q^2 (|X1| - z) with
+    z = #{y in c X1 : tr(y) = 0} (_class_orbit_weights has the others).
     c X1 is the squares or the nonsquares (lprime) or F* (units), so z
     is the trace-0 entry of its _period_counts.  Counts of a class that
     do not sum to |X1| raise ArithmeticError.  No field is built.
@@ -209,15 +218,13 @@ def charsum_distribution(spec: CodeSpec) -> WeightDistribution:
     squares, nonsquares = _period_counts(spec.m)
     classes = (squares, nonsquares) if spec.set_kind == KIND_LPRIME else (squares + nonsquares,)
     x1 = (q - 1) // len(classes)
-    counts = Counter({0: 1})
     for c in classes:
         if c.sum() != x1:
             raise ArithmeticError(
                 f"trace counts {tuple(c.tolist())} do not cover the {x1} elements of a class at m={spec.m}"
             )
-        counts[2 * x1 * q * q] += x1 * (q * q + q)
-        counts[3 * q * q * (x1 - int(c[0]))] += x1
-    return _finish(counts, spec, "charsum")
+    zero_weights = tuple(3 * q * q * (x1 - int(c[0])) for c in classes)
+    return _finish(_class_orbit_weights(q, zero_weights), spec, "charsum")
 
 
 def formula_distribution(spec: CodeSpec) -> WeightDistribution:
@@ -231,25 +238,18 @@ def formula_distribution(spec: CodeSpec) -> WeightDistribution:
     squares and the nonsquares.  By the quadratic Gauss sum
     G = (-1)^{m-1} (1 + 2 omega)^m (gauss_periods; (1 + 2 omega)^2 = -3)
     the squares have z = (q - 3 + 2 Re G)/6 and the nonsquares the same
-    with -G.  For odd m, G is imaginary, so both classes weigh q^3.  For
-    even m, G = -(-3)^{m/2}, so the classes weigh
-    q^2 (q -+ G) = 3^{3m} -+ 3^{5m/2}.  The sign of G (+ at m == 2,
-    - at m == 0 mod 4) only swaps which class gets which weight, and
-    both orbits hold (q - 1)/2 scalars, so the distribution is the same
-    at every even m.  ValueError above the closed-form scope.
+    with -G: the squares weigh q^2 (q - Re G) and the nonsquares
+    q^2 (q + Re G).  For odd m, G is imaginary, so both weigh q^3.  For
+    even m, G = -(-3)^{m/2}, so the squares weigh 3^{3m} - 3^{5m/2} at
+    m == 2 and 3^{3m} + 3^{5m/2} at m == 0 (mod 4).  Both orbits hold
+    (q - 1)/2 scalars, so the histogram is one at every even m; a swap of
+    the two shows in the orbit weights.  ValueError above the scope.
     """
-    require_scope("closed form", spec.m)
-    m = spec.m
-    size = 3 ** (3 * m)
+    m = require_scope("closed form", spec.m)
     q = 3**m
-    if spec.set_kind != KIND_LPRIME:
-        entries = {0: 1, 2 * (size - 3 ** (2 * m)): size - q, 2 * size: q - 1}
-    elif m % 2 == 1:
-        entries = {0: 1, size - 3 ** (2 * m): size - q, size: q - 1}
-    else:
-        half = 3 ** (5 * m // 2)
-        entries = {0: 1, size - half: (q - 1) // 2, size - 3 ** (2 * m): size - q, size + half: (q - 1) // 2}
-    return _finish(Counter(entries), spec, "formula")
+    g = 0 if m % 2 else -((-3) ** (m // 2))  # Re G
+    zero_weights = (q * q * (q - g), q * q * (q + g)) if spec.set_kind == KIND_LPRIME else (2 * q**3,)
+    return _finish(_class_orbit_weights(q, zero_weights), spec, "formula")
 
 
 # ---------------------------------------------------------------------------

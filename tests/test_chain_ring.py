@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicode.bounds import closed_form_sum_d_plus_1, griesmer_sum
+from cubicode.bounds import closed_form_sum_d_plus_1, griesmer, griesmer_sum
 from cubicode.chain_ring import (
     KIND_LPRIME,
     KIND_UNITS,
@@ -18,7 +18,7 @@ from cubicode.chain_ring import (
 )
 from cubicode.gf3m import get_field, trace_form
 from cubicode.trace_code import CodeSpec, get_eval_context
-from cubicode.weight_dist import gauss_periods, scalar_orbits
+from cubicode.weight_dist import enumerate_distribution, gauss_periods, scalar_orbits
 from ring_reference import standard_elements
 
 
@@ -104,6 +104,8 @@ INTEGER_ENTRY_POINTS = {
     "defining_set_size": lambda m: defining_set_size(m, KIND_UNITS),
     "code_length": lambda m: code_length(m, KIND_UNITS),
     "closed_form_sum_d_plus_1": lambda m: closed_form_sum_d_plus_1(m, KIND_UNITS),
+    "enumerate_distribution threads": lambda threads: enumerate_distribution(CodeSpec(1), threads=threads),
+    "griesmer N": lambda N: griesmer(N, 3, 1),
     "griesmer_sum K": lambda K: griesmer_sum(K, 3),
     "griesmer_sum d": lambda d: griesmer_sum(3, d),
     "require_scope": lambda m: require_scope("closed form", m),

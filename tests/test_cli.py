@@ -286,7 +286,8 @@ def test_export_access_json(capsys):
 
 
 def field_names(result_type) -> list[str]:
-    return [f.name for f in dataclasses.fields(result_type)]
+    # the exported fields: a repr=False field (WeightDistribution.orbit_weights) is not written
+    return [f.name for f in dataclasses.fields(result_type) if f.repr]
 
 
 @pytest.mark.parametrize(
@@ -349,6 +350,38 @@ def test_weights_enumerate_cross_checks_formula(capsys, monkeypatch):
     code, _, err = run(capsys, "weights", "--m", "1", "--method", "enumerate")
     assert code == 1
     assert "disagrees with the closed form" in err
+
+
+def _swap_lprime_zero_weights(monkeypatch):
+    """Wrap cli.formula_distribution to swap the squares' and nonsquares' (0, 0, c) weights."""
+    from cubicode import weight_dist
+
+    def swapped(spec):
+        dist = formula_distribution(spec)
+        w = list(dist.orbit_weights)
+        if spec.set_kind == "lprime":
+            w[3], w[6] = w[6], w[3]
+        return weight_dist._finish(w, spec, dist.method)
+
+    monkeypatch.setattr(cli, "formula_distribution", swapped)
+
+
+def test_verify_paper_sees_swapped_orbit_weights(capsys, monkeypatch):
+    # equal-sized orbits: the histograms still agree at m = 2, the orbit weights do not (at m = 1 both weigh 27)
+    _swap_lprime_zero_weights(monkeypatch)
+    code, out, err = run(capsys, "verify-paper")
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("mismatch")] == [
+        "enum-vs-formula-lprime-m2"
+    ]
+    assert err == "error: mismatched claims: enum-vs-formula-lprime-m2\n"
+
+
+def test_weights_enumerate_sees_swapped_orbit_weights(capsys, monkeypatch):
+    _swap_lprime_zero_weights(monkeypatch)
+    code, out, err = run(capsys, "weights", "--m", "2", "--method", "enumerate")
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration disagrees with the closed form\n"
 
 
 def test_enumeration_cross_check_shared_by_weights_and_export(capsys, monkeypatch):

@@ -272,15 +272,20 @@ print(sorted(n for n in sys.modules if n.split(".")[0] in ("multiprocessing", "c
 def test_invariants_hold_under_optimize():
     # python -O strips assert statements; the invariant checks must survive
     script = """
-from collections import Counter
 from cubicode.trace_code import CodeSpec
-from cubicode.weight_dist import _finish
+from cubicode.weight_dist import _finish, _validate
 print("debug", __debug__)
-for corrupted in ({0: 1, 18: 25, 27: 2}, {0: 1, 18: 23, 27: 3}):
+checks = (
+    # one corrupted orbit weight (the last (0, 0, c) orbit, 27 -> 28) breaks the first moment
+    lambda: _finish([0, 18, 18, 27, 18, 18, 28], CodeSpec(m=1), "enumerated"),
+    # a corrupted count breaks the coverage check
+    lambda: _validate({0: 1, 18: 25, 27: 2}, 1, "lprime"),
+)
+for check in checks:
     try:
-        _finish(Counter(corrupted), CodeSpec(m=1), "enumerated")
-    except ArithmeticError:
-        print("refused")
+        check()
+    except ArithmeticError as exc:
+        print("refused", exc)
     else:
         print("accepted")
 """
@@ -290,7 +295,36 @@ for corrupted in ({0: 1, 18: 25, 27: 2}, {0: 1, 18: 23, 27: 3}):
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
+    assert proc.stdout.split("\n")[:3] == [
+        "debug False",
+        "refused first moment identity violated",
+        "refused frequencies must cover all scalars",
+    ]
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_charsum_with_swapped_classes_keeps_the_histogram_but_not_the_orbit_weights(monkeypatch, m):
+    # the squares' and nonsquares' (0, 0, c) orbits have one size, so only the orbit weights see the swap
+    spec = CodeSpec(m, "lprime")
+    formula = formula_distribution(spec)
+    squares, nonsquares = weight_dist._period_counts(m)
+    monkeypatch.setattr(weight_dist, "_period_counts", lambda m: (nonsquares, squares))
+    swapped = charsum_distribution(spec)
+    assert swapped.entries == formula.entries
+    assert swapped.orbit_weights != formula.orbit_weights
+    assert swapped.orbit_weights == tuple(formula.orbit_weights[i] for i in (0, 4, 5, 6, 1, 2, 3))
+
+
+@pytest.mark.parametrize("kind", ("lprime", "units"))
+def test_the_routes_give_one_weight_per_orbit_and_agree(kind):
+    for m in range(1, 9):
+        spec = CodeSpec(m, kind)
+        formula = formula_distribution(spec)
+        assert len(formula.orbit_weights) == len(weight_dist.orbit_sizes(m, kind)) == {"lprime": 7, "units": 4}[kind]
+        assert charsum_distribution(spec).orbit_weights == formula.orbit_weights
+        if m <= 3:
+            assert enumerate_distribution(spec).orbit_weights == formula.orbit_weights
+            assert weight_dist.orbit_sizes(m, kind) == scalar_orbits(m, kind)[1]
 
 
 def test_first_moment_identity():
