@@ -9,10 +9,14 @@ invariant.  Minimality is a property of the projective class {c, 2c},
 so the search runs over class representatives.  Supports depend only on
 which projective points of PG(k-1, 3) the columns of G are, so the
 census runs on one boolean (classes, points) matrix, never on the
-codeword table.  Nor does it test all pairs of classes: a class can only
-be covered by one of smaller weight or by one with the same support, so
-equal rows are found by sorting and each weight level is tested against
-the levels below it.
+codeword table.  The class representatives, their digit rows and the map
+from a vector's label to its point's are one read-only table per
+dimension k, built on the first census of that k and shared by every
+code of it (both kinds at one m, and access_structure), so labelling
+G's columns is one lookup.  Nor does the census test all pairs of
+classes: a class can only be covered by one of smaller weight or by one
+with the same support, so equal rows are found by sorting and each
+weight level is tested against the levels below it.
 
 The scheme is Massey's, built on the dual code C^perp with distinguished
 coordinate 0: the dealer draws a uniform x in C^perp with x_0 = secret
@@ -40,6 +44,7 @@ reappears rotated at ux and u^2 x), dictators always exist here.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -79,20 +84,47 @@ def ab_condition(weights: Iterable[int]) -> bool:
     return bool(nz) and 3 * min(nz) > 2 * max(nz)
 
 
-def _class_representatives(k: int) -> np.ndarray:
-    """Ascending message indices representing each projective class {c, 2c}, c != 0."""
-    digits = 3 ** np.arange(k)
-    msgs = np.arange(1, 3**k)
-    partners = (2 * (msgs[:, None] // digits) % 3) @ digits
-    return msgs[msgs <= partners]
+@functools.cache
+def _point_table(k: int) -> tuple[np.ndarray, ...]:
+    """The census's read-only arrays for dimension k, built on first use and shared by every code of that k.
+
+    A vector v of F_3^k has the label sum v_i 3^i, and its projective
+    point {v, 2v} the smaller label of the two.  The point labels are the
+    class representatives too: a message y and a column g are both
+    vectors of F_3^k, and {y, 2y} is one class.  Returns
+
+        place   float32 3^i, so place @ g is the label of a column g;
+        normal  label -> the label of its point;
+        reps    the nonzero point labels ascending, one message index per class;
+        rows    float32 (classes, k), the digits of each representative;
+        digits  float32 (k, 3^k), column v the digits of label v.
+    """
+    # column v holds the base-3 digits of v, least significant first
+    digits = np.indices((3,) * k, dtype=np.uint8)[::-1].reshape(k, -1)
+    place = 3 ** np.arange(k)
+    labels = np.arange(3**k)
+    normal = np.minimum(labels, place @ (2 * digits % 3))
+    reps = np.flatnonzero(normal == labels)[1:]
+    table = (
+        place.astype(np.float32),
+        normal,
+        reps,
+        digits.T[reps].astype(np.float32),
+        digits.astype(np.float32),
+    )
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _census(code: TernaryCode):
     """The census on the projective points of the columns of G.
 
-    (yG)_j = y . g_j is nonzero iff y . p_j is, where p_j is column j
-    scaled by its first nonzero entry (a trit is its own inverse; a zero
-    column is point 0, in no support).  With S[y, p] = (y . p != 0) over
+    (yG)_j = y . g_j is nonzero iff y . p_j is, for p_j either vector of
+    the point {g_j, 2g_j}; a zero column is point 0, in no support.  The
+    classes, their digit rows and the map from a column's label to its
+    point's come from _point_table(k), so labelling the columns is one
+    lookup, normal[place @ G].  With S[y, p] = (y . p != 0) over
     the representatives y and the distinct points p, the supports are
     S[:, point], and supp_j lies in supp_i iff it does on the points.
     The weights are the rows of S times the point multiplicities; they
@@ -107,25 +139,22 @@ def _census(code: TernaryCode):
     S and the point index of each column.
     """
     require_scope("minimality census", code.spec.m)
-    k = code.dimension
-    place = 3 ** np.arange(k)
-    G = code.generators.astype(np.int64)
-    lead = G[np.argmax(G != 0, axis=0), np.arange(code.length)]
-    labels = place @ (G * lead % 3)
-    # the distinct labels ascending, each column's rank among them, and
+    place, normal, reps, rows, digits = _point_table(code.dimension)
+    # exact in float32 while 3^k stays below 2^24
+    labels = normal[(place @ code.generators).astype(np.intp)]
+    # the distinct points ascending, each column's rank among them, and
     # each point's multiplicity
-    count = np.bincount(labels, minlength=3**k)
+    count = np.bincount(labels, minlength=len(normal))
     present = count != 0
     points = np.flatnonzero(present)
     column_point = (np.cumsum(present) - 1)[labels]
-    reps = _class_representatives(k)
-    y = (reps[:, None] // place % 3).astype(np.float32)
-    p = (points // place[:, None] % 3).astype(np.float32)
-    # every entry of y @ p is an integer at most 4k (below 256 for any k whose
+    # both BLAS operands C-contiguous: a transposed one is several times slower
+    p = np.take(digits, points, axis=1)
+    # every entry of rows @ p is an integer at most 4k (below 256 for any k whose
     # 3^k classes fit in memory), so float32 and uint8 hold it exactly; 171 is
     # the inverse of 3 mod 256, which maps the multiples of 3 below 256 onto
     # 0..85 and every other byte above 85
-    support = (y @ p).astype(np.uint8) * np.uint8(171) > 85
+    support = (rows @ p).astype(np.uint8) * np.uint8(171) > 85
     # exact in float32 while the length N stays below 2^24
     weight = (support.astype(np.float32) @ count[points].astype(np.float32)).astype(np.int64)
     packed = np.packbits(support, axis=1)
@@ -152,7 +181,9 @@ def _census(code: TernaryCode):
         covered[lo:hi] |= (spill == 0).any(axis=1)
     minimal = np.empty(len(reps), dtype=bool)
     minimal[order] = ~covered
-    holds = ab_condition(weight.tolist())
+    # the screen on the ascending weights
+    nonzero = weight[weight > 0]
+    holds = bool(nonzero.size and 3 * nonzero[0] > 2 * nonzero[-1])
     # the screen speaks of nonzero codewords only.  A class of weight 0
     # exists exactly when G is rank-deficient, and then y and y + z, for z
     # in the kernel of y -> yG, are one codeword and cover each other

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_ring import KIND_LPRIME, allowed_x1, code_length, defining_set_generators, require_scope
-from .gf3m import get_field, positive_integer, trace_form
+from .gf3m import get_field, per_degree, positive_integer, trace_form
 from .trace_code import CodeSpec, get_eval_context
 
 
@@ -146,9 +146,15 @@ def _validate(entries: dict[int, int], m: int, kind: str) -> None:
 
 
 def _finish(weights: list[int], spec: CodeSpec, method: str) -> WeightDistribution:
-    """The validated histogram of the orbit weights (scalar_orbits order), each counted with its orbit's size."""
+    """The validated histogram of the orbit weights (scalar_orbits order), each counted with its orbit's size.
+
+    ArithmeticError unless there is one weight per orbit.
+    """
+    sizes = orbit_sizes(spec.m, spec.set_kind)
+    if len(weights) != len(sizes):
+        raise ArithmeticError(f"{len(weights)} orbit weights for {len(sizes)} orbits")
     entries = dict.fromkeys(sorted(weights), 0)
-    for w, size in zip(weights, orbit_sizes(spec.m, spec.set_kind), strict=True):
+    for w, size in zip(weights, sizes):
         entries[w] += size
     _validate(entries, spec.m, spec.set_kind)
     return WeightDistribution(entries, 3 ** (3 * spec.m), method, tuple(weights))
@@ -161,6 +167,7 @@ def orbit_sizes(m: int, kind: str) -> tuple[int, ...]:
     return (1, *(x1 * q * q, x1 * q, x1) * ((q - 1) // x1))
 
 
+@per_degree()
 def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of L on the 3^{3m} scalar indices: (representatives, orbit_sizes).
 
@@ -173,6 +180,7 @@ def scalar_orbits(m: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     then (c, 0, 0), (0, c, 0), (0, 0, c) for c = g^j, j < (q - 1) / |X1|,
     with sizes 1, |X1| q^2, |X1| q, |X1|: 7 orbits for lprime and 4 for
     units at every m.  An X1 that is not <gamma> raises ArithmeticError.
+    Built once per (m, kind), on the first call.
     """
     F = get_field(m)
     q = F.q

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import dataclasses
 import io
@@ -18,7 +19,12 @@ from cubicode.bounds import BoundsVerdict, DualWitness
 from cubicode.cli import Claim, build_claims, build_parser, main
 from cubicode.sss import AccessStructure
 from cubicode.trace_code import CodeSpec
-from cubicode.weight_dist import WeightDistribution, charsum_distribution, formula_distribution
+from cubicode.weight_dist import (
+    WeightDistribution,
+    charsum_distribution,
+    enumerate_distribution,
+    formula_distribution,
+)
 
 M1_LPRIME = {"0": 1, "18": 24, "27": 2}
 
@@ -375,6 +381,77 @@ def test_verify_paper_sees_swapped_orbit_weights(capsys, monkeypatch):
         "enum-vs-formula-lprime-m2"
     ]
     assert err == "error: mismatched claims: enum-vs-formula-lprime-m2\n"
+
+
+def _count_calls(monkeypatch, module, name, key):
+    """Wrap module.name at the module and at every cubicode name bound to it (as perfbench/tracer.py
+    does); the returned Counter gets key(*args) for each call."""
+    original = getattr(module, name)
+    calls = collections.Counter()
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n == "cubicode" or n.startswith("cubicode.")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags", ((), ("--include-slow",)))
+def test_verify_paper_does_each_per_code_job_once_per_spec(capsys, monkeypatch, flags):
+    from cubicode import bounds, sss, weight_dist
+
+    def spec_of(spec, *_):
+        return spec
+
+    counted = {
+        "census": _count_calls(monkeypatch, sss, "_census", lambda code: code.spec),
+        "dual": _count_calls(monkeypatch, bounds, "dual_weight_search", spec_of),
+        "verdict": _count_calls(monkeypatch, bounds, "verdict", spec_of),
+        "enumerate": _count_calls(monkeypatch, weight_dist, "enumerate_distribution", spec_of),
+    }
+    code, _, _ = run(capsys, "verify-paper", *flags)
+    assert code == 0
+    m1_m2 = {CodeSpec(m, kind) for m in (1, 2) for kind in ("lprime", "units")}
+    slow = {CodeSpec(3, kind) for kind in ("lprime", "units")} if flags else set()
+    assert counted["census"] == counted["dual"] == counted["verdict"] == dict.fromkeys(m1_m2, 1)
+    assert counted["enumerate"] == dict.fromkeys(m1_m2 | slow, 1)
+
+
+def test_no_result_outlives_its_run(capsys, monkeypatch):
+    clean = run(capsys, "verify-paper", "--output", "json")
+    assert clean[0] == 0
+    assert json.loads(clean[1])["summary"] == {"match": 29, "mismatch": 0, "flagged": 6}
+    # a route patched in before the next run shows in it ...
+    _swap_lprime_zero_weights(monkeypatch)
+    code, out, _ = run(capsys, "verify-paper", "--output", "json")
+    assert code == 1
+    assert [c["id"] for c in json.loads(out)["claims"] if c["status"] == "mismatch"] == [
+        "enum-vs-formula-lprime-m2"
+    ]
+    # ... and leaves nothing behind for the run after it
+    monkeypatch.undo()
+    assert run(capsys, "verify-paper", "--output", "json") == clean
+
+
+def test_a_route_that_raises_is_not_kept_for_the_run(monkeypatch):
+    # the first enumeration of each spec raises; the next claim on that spec asks again
+    calls = collections.Counter()
+
+    def fails_first(spec, threads=1):
+        calls[spec] += 1
+        if calls[spec] == 1:
+            raise ArithmeticError("first call")
+        return enumerate_distribution(spec, threads)
+
+    monkeypatch.setattr(cli, "enumerate_distribution", fails_first)
+    statuses = {c.id: c.status for c in build_claims()}
+    assert statuses["enum-vs-formula-lprime-m1"] == statuses["enum-vs-formula-units-m1"] == "mismatch"
+    assert statuses["charsum-vs-enum-lprime-m1"] == statuses["charsum-vs-enum-units-m1"] == "match"
+    assert calls[CodeSpec(1, "lprime")] == calls[CodeSpec(1, "units")] == 2
 
 
 def test_weights_enumerate_sees_swapped_orbit_weights(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from cubicode.chain_ring import KINDS
 from cubicode.sss import (
     AccessStructure,
     MinimalityReport,
-    _class_representatives,
+    _point_table,
     _trits,
     ab_condition,
     access_structure,
@@ -28,9 +28,17 @@ SMALL_SPECS = [
 ]
 
 
+def class_representatives(k):
+    """Ascending message indices representing each projective class {c, 2c}, c != 0, by brute force."""
+    digits = 3 ** np.arange(k)
+    msgs = np.arange(1, 3**k)
+    partners = (2 * (msgs[:, None] // digits) % 3) @ digits
+    return msgs[msgs <= partners]
+
+
 def table_census(code):
     """The census on rows of the codeword table, one packed-row pass per class."""
-    reps = _class_representatives(code.dimension)
+    reps = class_representatives(code.dimension)
     rows = code.codewords()[reps] != 0
     packed = np.packbits(rows, axis=1)
     non_minimal = [
@@ -59,6 +67,30 @@ def table_access_structure(code):
     return AccessStructure(
         secret_position=0, minimal_access_sets=ordered, dictators=tuple(sorted(dictators))
     )
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_point_tables_equal_the_brute_force(k):
+    place, normal, reps, rows, digits = _point_table(k)
+    assert np.array_equal(reps, class_representatives(k))
+    want_digits = np.arange(3**k)[:, None] // 3 ** np.arange(k) % 3
+    assert rows.dtype == np.float32 and rows.flags.c_contiguous
+    assert np.array_equal(rows, want_digits[reps])
+    assert digits.dtype == np.float32 and np.array_equal(digits, want_digits.T)
+    assert np.array_equal(place, 3 ** np.arange(k))
+    # each label goes to the smaller of itself and its double, which is 0 or a representative
+    double = (2 * want_digits % 3) @ 3 ** np.arange(k)
+    assert np.array_equal(normal, np.minimum(np.arange(3**k), double))
+    assert set(normal.tolist()) == {0, *reps.tolist()}
+
+
+def test_point_tables_are_read_only_and_built_once():
+    table = _point_table(3)
+    assert _point_table(3) is table
+    for array in table:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_ab_condition():

@@ -147,11 +147,19 @@ def test_defining_set_is_frobenius_stable(m, kind):
     assert images == set(map(tuple, nil))
 
 
-def test_enumeration_refuses_x1_that_is_not_a_subgroup(monkeypatch):
-    # x1 in {1, x}: not closed under products at m = 2, so not the subgroup <gamma>
+def test_orbit_build_refuses_x1_that_is_not_a_subgroup(monkeypatch):
+    # x1 in {1, x}: not closed under products at m = 2, so not the subgroup <gamma>.
+    # scalar_orbits is cached per (m, kind), so the build itself is called here;
+    # test_subgroup_guard_holds_under_optimize sees the enumeration refuse in a fresh process
     monkeypatch.setattr(weight_dist, "allowed_x1", lambda field, kind: (1, 3))
-    with pytest.raises(ArithmeticError):
-        enumerate_distribution(CodeSpec(m=2))
+    with pytest.raises(ArithmeticError, match="not the subgroup"):
+        scalar_orbits.__wrapped__(2, "lprime")
+
+
+def test_scalar_orbits_are_built_once_per_degree_and_kind():
+    orbits = scalar_orbits(2, "units")
+    assert scalar_orbits(np.int64(2), "units") is orbits
+    assert type(orbits) is tuple and all(type(part) is tuple for part in orbits)
 
 
 def test_subgroup_guard_holds_under_optimize():
@@ -269,6 +277,13 @@ print(sorted(n for n in sys.modules if n.split(".")[0] in ("multiprocessing", "c
     assert proc.stdout == "[]\n"
 
 
+def test_a_wrong_number_of_orbit_weights_is_an_arithmetic_error():
+    # not the ValueError of a strict zip, which the CLI would report as a usage error
+    for weights in ([0, 18], [0, 18, 18, 27, 18, 18, 27, 27]):
+        with pytest.raises(ArithmeticError, match=f"{len(weights)} orbit weights for 7 orbits"):
+            weight_dist._finish(weights, CodeSpec(m=1), "enumerated")
+
+
 def test_invariants_hold_under_optimize():
     # python -O strips assert statements; the invariant checks must survive
     script = """
@@ -280,6 +295,8 @@ checks = (
     lambda: _finish([0, 18, 18, 27, 18, 18, 28], CodeSpec(m=1), "enumerated"),
     # a corrupted count breaks the coverage check
     lambda: _validate({0: 1, 18: 25, 27: 2}, 1, "lprime"),
+    # two weights for the 7 orbits of lprime at m = 1
+    lambda: _finish([0, 18], CodeSpec(m=1), "enumerated"),
 )
 for check in checks:
     try:
@@ -295,10 +312,11 @@ for check in checks:
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == [
+    assert proc.stdout.split("\n")[:4] == [
         "debug False",
         "refused first moment identity violated",
         "refused frequencies must cover all scalars",
+        "refused 2 orbit weights for 7 orbits",
     ]
 
 
