@@ -20,17 +20,19 @@ the dual is a [N, N - 3m] code, and correcting even one error would need
 3^{N - 3m} (1 + 2N) <= 3^N, i.e. 1 + 2N <= 3^{3m}, which fails for every
 m >= 1 because N = (3^m - 1) 3^{2m+1} / 2 (or twice that) is already at
 least 3^{3m}.
+
+Only the dual certificate needs G, so dual_weight_search alone imports
+trace_code, and numpy with it, when it is first called.  The Griesmer
+and sphere-packing functions, and verdict above the defining-set scope,
+are exact integer work on spec and closed_form, which import no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chain_ring import KIND_LPRIME, SCOPE_MAX_M, code_length, require_scope
-from .gf3m import positive_integer
-from .trace_code import CodeSpec, build_code, gray_positions
+from .closed_form import formula_distribution
+from .spec import KIND_LPRIME, SCOPE_MAX_M, CodeSpec, code_length, positive_integer, require_scope
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +162,10 @@ def dual_weight_search(spec: CodeSpec) -> DualWitness:
     ring relation ev(a)_1 + 2u^2 ev(a)_u = 0; it must annihilate every
     row of G.  Its scope is that of G, the defining-set scope.
     """
+    from .trace_code import build_code, gray_positions
+
     G = build_code(spec).generators
-    zero_columns = np.flatnonzero(~G.any(axis=0))
+    zero_columns = (~G.any(axis=0)).nonzero()[0]
     if len(zero_columns):
         raise ArithmeticError(f"unexpected weight-1 dual word at Gray position {zero_columns[0]}")
     n = G.shape[1] // 3
@@ -208,8 +212,6 @@ def verdict(spec: CodeSpec) -> BoundsVerdict:
     certificate is attached wherever G can be built, i.e. in the
     defining-set scope.
     """
-    from .weight_dist import formula_distribution
-
     require_scope("closed form", spec.m)
     N = code_length(spec.m, spec.set_kind)
     K = 3 * spec.m

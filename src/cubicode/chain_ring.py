@@ -25,39 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3m import GF3m, get_field, per_degree, positive_integer
+from .gf3m import GF3m, get_field, per_degree
+from .spec import KIND_LPRIME, KIND_UNITS, defining_set_size, require_scope
+from .spec import code_length  # noqa: F401 - re-exported: chain_ring.code_length stays a public path
 
 Triple = tuple[int, int, int]
-
-KIND_LPRIME = "lprime"
-KIND_UNITS = "units"
-KINDS = (KIND_LPRIME, KIND_UNITS)
-
-# The one scope table: the largest extension degree m each exhaustive,
-# materializing or closed-form computation accepts.  Enforced through require_scope.
-SCOPE_MAX_M = {
-    # evaluated over its grid X1 x F x F; bounds G, the dual certificate, the
-    # enumeration and the structural checks (linalg3.rank tests on G)
-    "defining set": 3,
-    "Gauss periods": 8,
-    # formula and bounds: above this some exact output has more digits than
-    # Python's default int-to-str limit (4300); units weights 2 * 3^{3m} do at m = 3004
-    "closed form": 3003,
-    # all 3^{3m} codewords
-    "codeword table": 2,
-    # the (classes, points) bool support matrix, which builds no codeword
-    # table: at m = 3 units it is 9841 x 9477, about 93 MB
-    "minimality census": 2,
-}
-
-
-def require_scope(scope: str, m: int) -> int:
-    """m as a Python int; ValueError unless it is an integer (not a bool) in 1..SCOPE_MAX_M[scope]."""
-    limit = SCOPE_MAX_M[scope]
-    degree = positive_integer(m, f"{scope}: m")
-    if degree > limit:
-        raise ValueError(f"{scope}: supported for m <= {limit}, got m={m}")
-    return degree
 
 
 class ChainRing:
@@ -185,20 +157,6 @@ def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
     gamma = F.pow(F.generator, (F.q - 1) // len(allowed_x1(F, kind)))
     basis = [3**i for i in range(m)]
     return ((gamma, 0, 0), *((1, e, 0) for e in basis), *((1, 0, e) for e in basis))
-
-
-def defining_set_size(m: int, kind: str) -> int:
-    """|L| without materializing: (3^{3m} - 3^{2m}) / 2 for lprime, undivided for units."""
-    m = positive_integer(m)
-    if kind not in KINDS:
-        raise ValueError(f"unknown defining set kind {kind!r}")
-    units = 3 ** (3 * m) - 3 ** (2 * m)
-    return units // 2 if kind == KIND_LPRIME else units
-
-
-def code_length(m: int, kind: str) -> int:
-    """Length of the ternary Gray image, N = 3|L|."""
-    return 3 * defining_set_size(m, kind)
 
 
 @per_degree(functools.partial(require_scope, "defining set"))

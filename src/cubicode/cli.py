@@ -17,6 +17,15 @@ with _match, building no parser.  Anything else (help, abbreviations,
 --opt=value, usage errors) goes to the full parser, so every help text
 and usage error is byte-for-byte the full parser's.
 
+At module level cli imports bounds, closed_form and spec, none of
+which loads numpy.  The array modules come in where a handler needs
+them: trace_code and sss for `sss`, `export --format generators|access`
+and the minimality claims, weight_dist for `--method enumerate|charsum`
+and the route and Gauss period claims, and trace_code through
+bounds.dual_weight_search for `dual` and `bounds` at m <= 3.  So help,
+usage errors, `weights` and `export --format csv|json` at the default
+method, and `bounds` above m = 3 answer without numpy.
+
 Exit status: 0 when everything checked out (flagged claims included),
 1 when a verification claim mismatched or a round trip failed, 2 on
 usage errors and out-of-range requests.
@@ -36,17 +45,8 @@ from .bounds import (
     sphere_packing_t1,
     verdict,
 )
-from .chain_ring import KIND_LPRIME, KIND_UNITS, KINDS, code_length
-from .sss import access_structure, massey_shares, minimality_report, reconstruct
-from .trace_code import LAYOUTS, CodeSpec, build_code, export_generators
-from .weight_dist import (
-    WeightDistribution,
-    charsum_distribution,
-    distribution_csv,
-    enumerate_distribution,
-    formula_distribution,
-    gauss_periods,
-)
+from .closed_form import WeightDistribution, distribution_csv, formula_distribution
+from .spec import KIND_LPRIME, KIND_UNITS, KINDS, LAYOUTS, CodeSpec, code_length
 
 # reference values the implementation is checked against
 REFERENCE_TABLES = {
@@ -86,9 +86,13 @@ def _resolve_distribution(args, spec: CodeSpec) -> WeightDistribution | None:
     returned, which the commands turn into exit status 1.
     """
     if args.method == "charsum":
+        from .weight_dist import charsum_distribution
+
         return charsum_distribution(spec)
     if args.method != "enumerate":
         return formula_distribution(spec)
+    from .weight_dist import enumerate_distribution
+
     dist = enumerate_distribution(spec, threads=args.threads)
     if formula_distribution(spec).orbit_weights != dist.orbit_weights:
         print("error: enumeration disagrees with the closed form", file=sys.stderr)
@@ -193,6 +197,9 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sss(args) -> int:
+    from .sss import access_structure, massey_shares, reconstruct
+    from .trace_code import build_code
+
     spec = _spec_from_args(args)
     code = build_code(spec)
     acc = access_structure(code)
@@ -233,8 +240,13 @@ def cmd_sss(args) -> int:
 def cmd_export(args) -> int:
     spec = _spec_from_args(args)
     if args.format == "generators":
+        from .trace_code import build_code, export_generators
+
         text = export_generators(build_code(spec))
     elif args.format == "access":
+        from .sss import access_structure
+        from .trace_code import build_code
+
         text = _json(_fields(access_structure(build_code(spec))))
     else:
         dist = _resolve_distribution(args, spec)
@@ -300,6 +312,8 @@ def _routes_claim(once, expected_route, computed_route, kind: str, m: int) -> di
 
 
 def _gauss_claim(m: int) -> dict:
+    from .weight_dist import gauss_periods
+
     gp = gauss_periods(m)
     return {"expected": gp.closed_forms, "computed": (gp.squares, gp.nonsquares)}
 
@@ -352,6 +366,9 @@ def _packing_claim() -> dict:
 
 
 def _minimality_claim(kind: str, m: int) -> dict:
+    from .sss import minimality_report
+    from .trace_code import build_code
+
     report = minimality_report(build_code(CodeSpec(m=m, set_kind=kind)))
     computed = {
         "ab_ratio_holds": report.ab_ratio_holds,
@@ -381,6 +398,8 @@ _M1_M2 = tuple((kind, m) for kind in KINDS for m in (1, 2))
 
 
 def build_claims(include_slow: bool = False) -> list[Claim]:
+    from .weight_dist import charsum_distribution, enumerate_distribution
+
     # The run's memo: once(route, spec) computes a distribution, or a
     # verdict with its dual certificate, on first use and answers every
     # later claim of this run from it.  It is dropped with the run, so a

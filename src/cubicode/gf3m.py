@@ -25,9 +25,10 @@ coefficients by Newton's identities.  trace_table and the Gauss periods
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
+
+from .spec import _integer
 
 MAX_DEGREE = 8
 
@@ -76,28 +77,6 @@ def _is_irreducible(f) -> bool:
     if not (f[0] and (even + odd) % 3 and (even - odd) % 3):
         return False
     return all(any(_poly_rem(f, g)) for d in range(2, (len(f) - 1) // 2 + 1) for g in _irreducibles(d))
-
-
-def _integer(x) -> int | None:
-    """x as a Python int, or None for bools and non-integers.
-
-    operator.index accepts Python and numpy integers and refuses floats and
-    numpy bools; Python bools are ints to it, so they are refused first.
-    """
-    if isinstance(x, bool):
-        return None
-    try:
-        return operator.index(x)
-    except TypeError:
-        return None
-
-
-def positive_integer(x, name: str = "m") -> int:
-    """x as a Python int; ValueError unless it is a positive integer (not a bool)."""
-    value = _integer(x)
-    if value is None or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {x!r}")
-    return value
 
 
 def _degree(m) -> int:

@@ -235,15 +235,18 @@ class AccessStructure:
 def access_structure(code: TernaryCode) -> AccessStructure:
     """Minimal access sets and dictator parties of the scheme on this code."""
     _, _, minimal, support, column_point = _census(code)
-    # distinct minimal classes have distinct supports (equal ones cover each other)
-    rows = support[minimal & support[:, column_point[0]]][:, column_point[1:]]
+    # distinct minimal classes have distinct supports (equal ones cover each
+    # other); each row stays on the points and is gathered onto the parties'
+    # columns alone, so no (sets, N - 1) matrix is formed
+    rows = support[minimal & support[:, column_point[0]]]
+    party_point = column_point[1:]
     # an object array over the shared tuple gathers references, not new ints
     parties = np.array(code.parties, dtype=object)
-    sets = (tuple(parties[row].tolist()) for row in rows)
+    sets = (tuple(parties[row[party_point]].tolist()) for row in rows)
     ordered = tuple(sorted(sets, key=lambda s: (len(s), s)))
     dictators = ()
     if len(rows):
-        dictators = tuple(parties[np.logical_and.reduce(rows)].tolist())
+        dictators = tuple(parties[np.logical_and.reduce(rows)[party_point]].tolist())
     return AccessStructure(
         secret_position=0, minimal_access_sets=ordered, dictators=dictators
     )

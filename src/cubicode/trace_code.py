@@ -57,42 +57,14 @@ its own parties, reduction, recombination row and codeword table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg3
-from .chain_ring import (
-    KINDS,
-    Triple,
-    DefiningSet,
-    allowed_x1,
-    defining_set_generators,
-    get_ring,
-    require_scope,
-)
-from .gf3m import get_field, per_degree, positive_integer
-
-LAYOUT_INTERLEAVED = "interleaved"
-LAYOUT_BLOCK = "block"
-LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
-
-
-@dataclass(frozen=True)
-class CodeSpec:
-    """Which code: extension degree, defining set kind, Gray layout."""
-
-    m: int
-    set_kind: str = "lprime"
-    layout: str = LAYOUT_INTERLEAVED
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", positive_integer(self.m))  # frozen: a numpy int is stored as int
-        if self.set_kind not in KINDS:
-            raise ValueError(f"unknown defining set kind {self.set_kind!r}")
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
+from .chain_ring import Triple, DefiningSet, allowed_x1, defining_set_generators, get_ring
+from .gf3m import get_field, per_degree
+from .spec import LAYOUT_BLOCK, LAYOUT_INTERLEAVED, CodeSpec, require_scope
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_sizes_need_a_positive_integer_m(function, bad):
         function(bad, KIND_UNITS)
 
 
-# every entry point that takes a degree-like positive integer, by one rule (gf3m.positive_integer)
+# every entry point that takes a degree-like positive integer, by one rule (spec.positive_integer)
 INTEGER_ENTRY_POINTS = {
     "CodeSpec": CodeSpec,
     "defining_set_size": lambda m: defining_set_size(m, KIND_UNITS),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicode
-from cubicode import cli
+from cubicode import cli, weight_dist
 from cubicode.bounds import BoundsVerdict, DualWitness
 from cubicode.cli import Claim, build_claims, build_parser, main
 from cubicode.sss import AccessStructure
@@ -131,7 +131,7 @@ def test_huge_m_refused_before_any_arithmetic(capsys, monkeypatch, argv):
         raise RuntimeError("closed-form arithmetic started")
 
     monkeypatch.setattr("cubicode.bounds.code_length", forbidden)
-    monkeypatch.setattr("cubicode.weight_dist._validate", forbidden)
+    monkeypatch.setattr("cubicode.closed_form._validate", forbidden)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -236,12 +236,12 @@ def test_sss_json(capsys):
 
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_sss_refused_round_trip_is_a_failure_not_bad_input(capsys, monkeypatch, output):
-    import cubicode.cli as cli_mod
+    from cubicode import sss
 
     def refuse(shares, code):
         raise ValueError("the given party set cannot reconstruct the secret")
 
-    monkeypatch.setattr(cli_mod, "reconstruct", refuse)
+    monkeypatch.setattr(sss, "reconstruct", refuse)
     code, out, err = run(capsys, "sss", "--m", "1", "--set", "lprime", "--seed", "3", "--output", output)
     assert code == 1
     assert err == ""
@@ -447,7 +447,7 @@ def test_a_route_that_raises_is_not_kept_for_the_run(monkeypatch):
             raise ArithmeticError("first call")
         return enumerate_distribution(spec, threads)
 
-    monkeypatch.setattr(cli, "enumerate_distribution", fails_first)
+    monkeypatch.setattr(weight_dist, "enumerate_distribution", fails_first)
     statuses = {c.id: c.status for c in build_claims()}
     assert statuses["enum-vs-formula-lprime-m1"] == statuses["enum-vs-formula-units-m1"] == "mismatch"
     assert statuses["charsum-vs-enum-lprime-m1"] == statuses["charsum-vs-enum-units-m1"] == "match"
@@ -462,11 +462,10 @@ def test_weights_enumerate_sees_swapped_orbit_weights(capsys, monkeypatch):
 
 
 def test_enumeration_cross_check_shared_by_weights_and_export(capsys, monkeypatch):
-    import cubicode.cli as cli_mod
     from cubicode.weight_dist import WeightDistribution
 
     wrong = WeightDistribution(entries={0: 1, 18: 23, 27: 3}, total=27, method="enumerated")
-    monkeypatch.setattr(cli_mod, "enumerate_distribution", lambda spec, threads: wrong)
+    monkeypatch.setattr(weight_dist, "enumerate_distribution", lambda spec, threads: wrong)
     errors = []
     for argv in (
         ["weights", "--m", "1", "--method", "enumerate"],
@@ -746,7 +745,6 @@ def test_verify_paper_json_holds_no_float(capsys, flags):
 def test_gauss_claims_mismatch_on_a_wrong_closed_form_or_direct_sum(monkeypatch):
     import dataclasses
 
-    import cubicode.cli as cli_mod
     from cubicode.weight_dist import gauss_periods
 
     def negated_gauss_sum(m):
@@ -759,7 +757,7 @@ def test_gauss_claims_mismatch_on_a_wrong_closed_form_or_direct_sum(monkeypatch)
         return dataclasses.replace(gp, squares=(gp.squares[0] + 1, gp.squares[1]))
 
     for wrong in (negated_gauss_sum, squares_off_by_one):
-        monkeypatch.setattr(cli_mod, "gauss_periods", wrong)
+        monkeypatch.setattr(weight_dist, "gauss_periods", wrong)
         statuses = [c.status for c in build_claims() if c.id.startswith("gauss-periods")]
         assert statuses == ["mismatch"] * 6
 

@@ -23,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from cubicode import bounds, linalg3, sss, trace_code
 from cubicode.chain_ring import get_ring
+from cubicode.spec import LAYOUTS
 from ring_reference import index_of_scalar, scalar_from_index
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -332,10 +333,10 @@ def test_nilpotent_coordinates_round_trip(data):
 def test_gray_layouts_are_permutations_through_gray_positions(data):
     n = data.draw(st.integers(1, 20))
     words = data.draw(arrays(np.int8, (data.draw(st.integers(1, 3)), n, 3), elements=st.integers(0, 2)))
-    images = {layout: trace_code.gray_image(words, layout) for layout in trace_code.LAYOUTS}
+    images = {layout: trace_code.gray_image(words, layout) for layout in LAYOUTS}
     maps = {
         layout: np.array([trace_code.gray_positions(i, layout, n) for i in range(n)])
-        for layout in trace_code.LAYOUTS
+        for layout in LAYOUTS
     }
     for layout, image in images.items():
         # every position is hit once, and each triple sits at its positions

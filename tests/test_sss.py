@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubicode import linalg3
-from cubicode.chain_ring import KINDS
+from cubicode.spec import KINDS, LAYOUTS
 from cubicode.sss import (
     AccessStructure,
     MinimalityReport,
@@ -19,7 +19,7 @@ from cubicode.sss import (
     minimality_report,
     reconstruct,
 )
-from cubicode.trace_code import LAYOUTS, CodeSpec, TernaryCode, build_code
+from cubicode.trace_code import CodeSpec, TernaryCode, build_code
 from cubicode.weight_dist import formula_distribution
 
 SMALL_SPECS = [
