@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg3
-from .chain_ring import require_scope
+from .spec import require_scope
 from .trace_code import TernaryCode
 
 

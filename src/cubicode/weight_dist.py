@@ -32,8 +32,6 @@ from .closed_form import (  # noqa: F401 - the closed-form route re-exported bes
     WeightDistribution,
     _class_orbit_weights,
     _finish,
-    _validate,
-    distribution_csv,
     formula_distribution,
     orbit_sizes,
 )

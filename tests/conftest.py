@@ -1,7 +1,5 @@
 import re
 
-import pytest
-
 CRITERION = re.compile(r"test_criterion_(\d+)")
 
 DESCRIPTIONS = {
@@ -20,30 +18,6 @@ DESCRIPTIONS = {
     13: "minimality census ground truth and weight-ratio boundary flag",
     14: "share round trips on every minimal access set; dictators nonempty",
 }
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--include-slow",
-        action="store_true",
-        default=False,
-        help="run the long exhaustive checks (full m=3 enumeration)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long exhaustive checks, enabled by --include-slow"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--include-slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --include-slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -68,9 +42,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             verdict = "SKIP"
         else:
             verdict = "PASS"
-        extra = ""
-        if verdict == "PASS" and "skipped" in statuses:
-            extra = " (slow scope skipped; rerun with --include-slow)"
-        terminalreporter.write_line(
-            f"{verdict} criterion {num:02d}: {DESCRIPTIONS.get(num, '?')}{extra}"
-        )
+        terminalreporter.write_line(f"{verdict} criterion {num:02d}: {DESCRIPTIONS.get(num, '?')}")

@@ -11,7 +11,8 @@ import functools
 
 import numpy as np
 
-from cubicode.chain_ring import DefiningSet, code_length, get_ring
+from cubicode.chain_ring import DefiningSet, get_ring
+from cubicode.spec import code_length
 from cubicode.trace_code import CodeSpec, get_eval_context
 from cubicode.weight_dist import codeword_char_sum
 
@@ -75,11 +76,12 @@ def char_sum_weights(spec: CodeSpec) -> np.ndarray:
     sum_{s=1,2} Theta(s y) = 2N - 3 wH(y) for a ternary vector y of length
     N.  theta(2a) is the conjugate of theta(a) = a + b omega, so
     theta(a) + theta(2a) = 2a - b and w = (2N - 2a + b) / 3 in integers.
-    A numerator not divisible by 3 fails an assertion.
+    A numerator not divisible by 3 raises ArithmeticError.
     """
     a, b = codeword_char_sum(spec, np.arange(3 ** (3 * spec.m))).T
     numerator = 2 * code_length(spec.m, spec.set_kind) - 2 * a + b
-    assert not (numerator % 3).any()
+    if (numerator % 3).any():
+        raise ArithmeticError("a character-sum weight numerator is not divisible by 3")
     return numerator // 3
 
 

@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from cubicode.bounds import dual_weight_search, verdict
-from cubicode.chain_ring import code_length
 from cubicode.cli import _minimality_claim
+from cubicode.spec import code_length
 from cubicode.sss import (
     ab_condition,
     access_structure,

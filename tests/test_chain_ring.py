@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 
 from cubicode.bounds import closed_form_sum_d_plus_1, griesmer, griesmer_sum
-from cubicode.chain_ring import (
-    KIND_LPRIME,
-    KIND_UNITS,
-    ChainRing,
-    allowed_x1,
-    code_length,
-    defining_set,
-    defining_set_generators,
-    defining_set_size,
-    get_ring,
-    require_scope,
-)
+from cubicode.chain_ring import ChainRing, allowed_x1, defining_set, defining_set_generators, get_ring
 from cubicode.gf3m import get_field, trace_form
+from cubicode.spec import KIND_LPRIME, KIND_UNITS, code_length, defining_set_size, require_scope
 from cubicode.trace_code import CodeSpec, get_eval_context
 from cubicode.weight_dist import enumerate_distribution, gauss_periods, scalar_orbits
 from ring_reference import standard_elements

@@ -4,16 +4,13 @@ import contextlib
 import dataclasses
 import io
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cubicode
+from checkout import python
 from cubicode import cli, weight_dist
 from cubicode.bounds import BoundsVerdict, DualWitness
 from cubicode.cli import Claim, build_claims, build_parser, main
@@ -33,18 +30,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def python_on_checkout(*argv):
-    """Run `python ARGV` with this checkout's package on the path."""
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
-
-
-def python_dash_m(*argv):
-    """Run `python -m cubicode ARGV` on this checkout's package."""
-    return python_on_checkout("-m", "cubicode", *argv)
 
 
 def _exit_outcome(capsys, parse, argv):
@@ -180,9 +165,7 @@ def test_lprime_multiple_of_four_answers_on_every_route(capsys, m):
     ),
 )
 def test_python_dash_m_runs_the_cli(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    proc = python_dash_m(*argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert python("-m", "cubicode", *argv) == run(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +174,7 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
 def test_python_dash_m_parses_sys_argv(capsys, monkeypatch, argv, status):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width in both processes
     outcome = _exit_outcome(capsys, main, argv)
-    proc = python_dash_m(*argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == outcome
+    assert python("-m", "cubicode", *argv) == outcome
     assert outcome[0] == status
 
 
@@ -672,9 +654,9 @@ def test_plain_verify_paper_argv_imports_no_locale():
         f"    status = cli.main({list(BENCHMARK_ARGV)!r})\n"
         "print(status, before, 'locale' in sys.modules)\n"
     )
-    done = python_on_checkout("-c", script)
-    status, before, after = done.stdout.split()
-    assert status == "0" and after == before, done.stderr
+    _, out, err = python("-c", script)
+    status, before, after = out.split()
+    assert status == "0" and after == before, err
 
 
 def test_a_non_integer_threads_is_worded_as_for_m(capsys):
@@ -699,12 +681,11 @@ def test_export_identical_across_threads(capsys):
 def test_export_to_unwritable_path_exits_2(tmp_path, target):
     # a missing parent directory, then a path that names a directory
     out = tmp_path / target
-    proc = python_dash_m("export", "--m", "1", "--out", str(out))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(f"error: cannot write {out}: ")
-    assert proc.stderr.count("\n") == 1
+    status, stdout, stderr = python("-m", "cubicode", "export", "--m", "1", "--out", str(out))
+    assert (status, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert stderr.startswith(f"error: cannot write {out}: ")
+    assert stderr.count("\n") == 1
 
 
 def test_verify_paper_text(capsys):

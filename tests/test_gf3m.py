@@ -10,23 +10,25 @@ from cubicode.gf3m import MAX_DEGREE, GF3m, get_field, smallest_irreducible, tra
 
 # coefficient tuples (constant term first) of the first monic irreducibles:
 # x, x^2 + 1, x^3 + 2x + 1, x^4 + x + 2, x^5 + 2x + 1, x^6 + x + 2,
-# x^7 + x^2 + 2, x^8 + x^2 + 2
-KNOWN_MODULI = {
-    1: (0, 1),
-    2: (1, 0, 1),
-    3: (1, 2, 0, 1),
-    4: (2, 1, 0, 0, 1),
-    5: (1, 2, 0, 0, 0, 1),
-    6: (2, 1, 0, 0, 0, 0, 1),
-    7: (2, 0, 1, 0, 0, 0, 0, 1),
-    8: (2, 0, 1, 0, 0, 0, 0, 0, 1),
+# x^7 + x^2 + 2, x^8 + x^2 + 2, each with the field's generator: the
+# smallest element code that generates the multiplicative group
+KNOWN_FIELDS = {
+    1: ((0, 1), 2),
+    2: ((1, 0, 1), 4),
+    3: ((1, 2, 0, 1), 3),
+    4: ((2, 1, 0, 0, 1), 3),
+    5: ((1, 2, 0, 0, 0, 1), 3),
+    6: ((2, 1, 0, 0, 0, 0, 1), 3),
+    7: ((2, 0, 1, 0, 0, 0, 0, 1), 5),
+    8: ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
 }
 
 
-@pytest.mark.parametrize("m,coeffs", sorted(KNOWN_MODULI.items()))
-def test_smallest_irreducible(m, coeffs):
+@pytest.mark.parametrize("m, coeffs, generator", [(m, *field) for m, field in sorted(KNOWN_FIELDS.items())])
+def test_smallest_irreducible(m, coeffs, generator):
     assert smallest_irreducible(m) == coeffs
     assert get_field(m).modulus == coeffs
+    assert get_field(m).generator == generator
 
 
 def test_element_range_and_low_elements():

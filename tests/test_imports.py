@@ -3,12 +3,13 @@
 The package resolves its names on first use, and the closed-form
 commands, help and usage errors run on spec, closed_form, bounds and
 cli alone.  Each check that depends on what is already imported runs in
-a fresh interpreter.
+a fresh interpreter, started by checkout.python under -O when the suite
+runs under -O; the first two tests check that hand-off and that no
+helper module leans on an assert, which -O would strip.
 """
 
+import ast
 import hashlib
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -16,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import cubicode
+from checkout import python
 from test_golden import DIGESTS
 
-SRC = str(Path(cubicode.__file__).resolve().parents[1])
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 RUN_CLI = "import sys; from cubicode.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -35,17 +36,23 @@ NUMPY_FREE = (
 )
 
 
-def python(*argv):
-    """`python ARGV` on this checkout's package, help wrapped at 80 columns; (status, stdout, stderr) as bytes."""
-    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
-    return proc.returncode, proc.stdout, proc.stderr
+def test_a_spawned_interpreter_runs_under_o_as_this_run_does():
+    assert python("-c", "print(__debug__)") == (0, f"{not sys.flags.optimize}\n", "")
+    assert python("-O", "-c", "print(__debug__)") == (0, "False\n", "")
+
+
+def test_no_helper_module_has_an_assert():
+    # pytest rewrites the asserts of test modules and conftest alone; python -O strips any other
+    for path in Path(__file__).parent.glob("*.py"):
+        if not path.name.startswith("test_") and path.name != "conftest.py":
+            tree = ast.parse(path.read_text())
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 @pytest.mark.parametrize("argv, status, pinned", NUMPY_FREE, ids=[argv for argv, _, _ in NUMPY_FREE])
 def test_closed_form_commands_run_without_numpy(argv, status, pinned):
-    blocked = python("-c", BLOCK_NUMPY + RUN_CLI, *argv.split())
-    assert blocked == python("-c", RUN_CLI, *argv.split())
+    blocked = python("-c", BLOCK_NUMPY + RUN_CLI, *argv.split(), text=False)
+    assert blocked == python("-c", RUN_CLI, *argv.split(), text=False)
     assert blocked[0] == status, blocked[2]
     if pinned is not None:
         assert hashlib.sha256(blocked[1]).hexdigest() == DIGESTS[pinned]
@@ -58,8 +65,8 @@ print(cubicode.formula_distribution(spec).entries == {0: 1, 37908: 19656, 39366:
 print(sorted(name for name in sys.modules if name.startswith("cubicode")))
 """
     status, out, err = python("-c", script)
-    assert status == 0, err.decode()
-    assert out.decode().splitlines() == [
+    assert status == 0, err
+    assert out.splitlines() == [
         "True",
         "['cubicode', 'cubicode.bounds', 'cubicode.cli', 'cubicode.closed_form', 'cubicode.spec']",
     ]
@@ -67,7 +74,7 @@ print(sorted(name for name in sys.modules if name.startswith("cubicode")))
 
 def test_import_cubicode_loads_no_submodule_and_version_needs_none():
     script = "import sys, cubicode; print(cubicode.__version__, [n for n in sys.modules if n.startswith('cubicode.')])"
-    assert python("-c", script) == (0, b"0.1.0 []\n", b"")
+    assert python("-c", script) == (0, "0.1.0 []\n", "")
 
 
 @pytest.mark.parametrize("name", [name for name in cubicode.__all__ if name != "__version__"])
@@ -120,5 +127,5 @@ for argv in (
 print(sorted(name for name in sys.modules if name.startswith("cubicode") and name not in before))
 """
     status, out, err = python("-c", script)
-    assert status == 0, err.decode()
-    assert out == b"[]\n"
+    assert status == 0, err
+    assert out == "[]\n"

@@ -1,17 +1,12 @@
 """The benchmark tracer wraps cubicode functions by name; each must still exist."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from checkout import python
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 def test_tracer_install_finds_every_traced_name():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.install()"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    status, _, err = python("-c", f"import sys; sys.path.insert(0, {PERFBENCH!r}); import tracer; tracer.install()")
+    assert status == 0, err

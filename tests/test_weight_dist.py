@@ -1,24 +1,21 @@
 import dataclasses
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cubicode
+from checkout import python
 from cubicode import weight_dist
 from cubicode.bounds import verdict
-from cubicode.chain_ring import allowed_x1, code_length, defining_set, get_ring
+from cubicode.chain_ring import allowed_x1, defining_set, get_ring
 from cubicode.cli import main
+from cubicode.closed_form import distribution_csv
 from cubicode.gf3m import get_field
+from cubicode.spec import code_length
 from cubicode.trace_code import CodeSpec, EvalContext, get_eval_context
 from cubicode.weight_dist import (
     charsum_distribution,
-    distribution_csv,
     enumerate_distribution,
     formula_distribution,
     gauss_periods,
@@ -176,13 +173,9 @@ except ArithmeticError:
 else:
     print("accepted")
 """
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["debug False", "refused"]
+    status, out, err = python("-O", "-c", script)
+    assert status == 0, err
+    assert out.split("\n")[:2] == ["debug False", "refused"]
 
 
 @pytest.mark.parametrize("kind", ("lprime", "units"))
@@ -268,13 +261,9 @@ from cubicode.weight_dist import enumerate_distribution
 enumerate_distribution(CodeSpec(3, "lprime"), threads=2)
 print(sorted(n for n in sys.modules if n.split(".")[0] in ("multiprocessing", "concurrent")))
 """
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    status, out, err = python("-c", script)
+    assert status == 0, err
+    assert out == "[]\n"
 
 
 def test_a_wrong_number_of_orbit_weights_is_an_arithmetic_error():
@@ -288,7 +277,7 @@ def test_invariants_hold_under_optimize():
     # python -O strips assert statements; the invariant checks must survive
     script = """
 from cubicode.trace_code import CodeSpec
-from cubicode.weight_dist import _finish, _validate
+from cubicode.closed_form import _finish, _validate
 print("debug", __debug__)
 checks = (
     # one corrupted orbit weight (the last (0, 0, c) orbit, 27 -> 28) breaks the first moment
@@ -306,13 +295,9 @@ for check in checks:
     else:
         print("accepted")
 """
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:4] == [
+    status, out, err = python("-O", "-c", script)
+    assert status == 0, err
+    assert out.split("\n")[:4] == [
         "debug False",
         "refused first moment identity violated",
         "refused frequencies must cover all scalars",
@@ -432,13 +417,9 @@ for m, change in ((2, (1, 1, -2)), (3, (0, 1, -1))):
     else:
         print("accepted")
 """
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
+    status, out, err = python("-O", "-c", script)
+    assert status == 0, err
+    assert out.split("\n")[:3] == ["debug False", "refused", "refused"]
 
 
 def test_vector_char_sum():
@@ -525,13 +506,9 @@ for t in (0, 1):
     else:
         print("accepted")
 """
-    src = str(Path(cubicode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["debug False", "refused", "refused"]
+    status, out, err = python("-O", "-c", script)
+    assert status == 0, err
+    assert out.split("\n")[:3] == ["debug False", "refused", "refused"]
 
 
 def test_hamming_identity_on_random_vectors():
