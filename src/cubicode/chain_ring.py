@@ -19,14 +19,13 @@ allowed values, then x2, then x3, each in field element order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf3m import GF3m, get_field, per_degree
-from .spec import KIND_LPRIME, KIND_UNITS, defining_set_size, require_scope
+from .spec import KIND_LPRIME, KIND_UNITS, defining_set_size
 from .spec import code_length  # noqa: F401 - re-exported: chain_ring.code_length stays a public path
 
 Triple = tuple[int, int, int]
@@ -159,7 +158,7 @@ def defining_set_generators(m: int, kind: str) -> tuple[Triple, ...]:
     return ((gamma, 0, 0), *((1, e, 0) for e in basis), *((1, 0, e) for e in basis))
 
 
-@per_degree(functools.partial(require_scope, "defining set"))
+@per_degree("defining set")
 def defining_set(m: int, kind: str) -> DefiningSet:
     """The defining set L of the kind at degree m, materialized in canonical order.
 

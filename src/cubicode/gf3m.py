@@ -12,8 +12,8 @@ discrete-log tables for a fixed primitive element, the smallest element
 code of order 3^m - 1.  One bounded walk of a candidate's powers decides
 that and is the exp table; it also proves that the modulus gives a field,
 since only then does an element of that order exist.  Supported degrees
-are 1..8 (fields up to 6561 elements); everything is exact integer
-arithmetic.
+are those of the "extension degree" scope of spec.SCOPE_MAX_M (1..8,
+fields up to 6561 elements); everything is exact integer arithmetic.
 
 The trace needs no field: trace_form(m) is the matrix of the bilinear
 form tr(y z) in the polynomial basis, B[i, j] = tr(x^(i+j)), whose
@@ -28,9 +28,7 @@ import functools
 
 import numpy as np
 
-from .spec import _integer
-
-MAX_DEGREE = 8
+from .spec import _integer, require_scope
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +77,17 @@ def _is_irreducible(f) -> bool:
     return all(any(_poly_rem(f, g)) for d in range(2, (len(f) - 1) // 2 + 1) for g in _irreducibles(d))
 
 
-def _degree(m) -> int:
-    """m as a Python int; ValueError unless it is an integer (not a bool) in 1..MAX_DEGREE."""
-    degree = _integer(m)
-    if degree is None or not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"extension degree must be an integer in 1..{MAX_DEGREE}, got {m!r}")
-    return degree
+def per_degree(scope: str = "extension degree"):
+    """Cache f(m, *args) once per degree, so np.int64(2) gets the object of 2.
 
-
-def per_degree(degree=_degree):
-    """Cache f(m, *args) once per degree(m), so np.int64(2) gets the object of 2.
-
-    A typed cache answers repeated calls; on its miss degree raises
-    ValueError on bools, floats and strings before the per-degree cache.
+    A typed cache answers repeated calls; on its miss require_scope(scope, m)
+    raises ValueError on bools, floats, strings and any m outside the scope's
+    row of spec.SCOPE_MAX_M before the per-degree cache.
     """
 
     def decorate(build):
         cached = functools.lru_cache(maxsize=None)(build)
-        front = functools.lru_cache(maxsize=None, typed=True)(lambda m, *args: cached(degree(m), *args))
+        front = functools.lru_cache(maxsize=None, typed=True)(lambda m, *args: cached(require_scope(scope, m), *args))
         return functools.wraps(build)(front)
 
     return decorate
@@ -106,7 +97,7 @@ def per_degree(degree=_degree):
 def smallest_irreducible(m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m in the digit encoding order, found once per degree.
 
-    ValueError unless m is an integer (not a bool) in 1..MAX_DEGREE.
+    ValueError unless m is an integer (not a bool) in 1..spec.SCOPE_MAX_M["extension degree"].
     """
     for tail in range(3**m):
         f = tuple(_digits(tail, m)) + (1,)
@@ -157,7 +148,7 @@ class GF3m:
     """
 
     def __init__(self, m: int) -> None:
-        self.m = m = _degree(m)
+        self.m = m = require_scope("extension degree", m)
         self.q = 3**m
         self.modulus = smallest_irreducible(m)
         self.generator, self._exp, self._log = self._build_log_tables()

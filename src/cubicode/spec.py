@@ -25,6 +25,9 @@ LAYOUTS = (LAYOUT_INTERLEAVED, LAYOUT_BLOCK)
 # The one scope table: the largest extension degree m each exhaustive,
 # materializing or closed-form computation accepts.  Enforced through require_scope.
 SCOPE_MAX_M = {
+    # the field F_{3^m} itself: the exp and log tables, and the (q, q) int16
+    # mul_table and add_table, about 86 MB each at m = 8
+    "extension degree": 8,
     # evaluated over its grid X1 x F x F; bounds G, the dual certificate, the
     # enumeration and the structural checks (linalg3.rank tests on G)
     "defining set": 3,

@@ -181,9 +181,7 @@ def _census(code: TernaryCode):
         covered[lo:hi] |= (spill == 0).any(axis=1)
     minimal = np.empty(len(reps), dtype=bool)
     minimal[order] = ~covered
-    # the screen on the ascending weights
-    nonzero = weight[weight > 0]
-    holds = bool(nonzero.size and 3 * nonzero[0] > 2 * nonzero[-1])
+    holds = ab_condition(weight.tolist())
     # the screen speaks of nonzero codewords only.  A class of weight 0
     # exists exactly when G is rank-deficient, and then y and y + z, for z
     # in the kernel of y -> yG, are one codeword and cover each other

@@ -193,7 +193,7 @@ class EvalContext:
         return (_LEE_FROM.take(U, axis=0).sum(axis=(1, 2)) * counts).sum(axis=1)
 
 
-@per_degree(functools.partial(require_scope, "defining set"))
+@per_degree("defining set")
 def get_eval_context(m: int, kind: str) -> EvalContext:
     """The context over the defining set L = X1 x F x F, in its canonical order."""
     return EvalContext(m, allowed_x1(get_field(m), kind))
@@ -301,7 +301,7 @@ def _generator_matrix(ctx: EvalContext, layout: str) -> np.ndarray:
     return gray_image(ctx.trace_triples(ring_basis(ctx.m)), layout)
 
 
-@functools.lru_cache(maxsize=None)
+@per_degree("defining set")
 def _cached_generators(m: int, kind: str, layout: str) -> np.ndarray:
     G = _generator_matrix(get_eval_context(m, kind), layout)
     G.flags.writeable = False
@@ -331,9 +331,10 @@ def check_injectivity(spec: CodeSpec) -> bool:
     """Decide whether a -> ev(a) separates all 3^{3m} scalars.
 
     ev is F_3-linear, so it is injective iff the images of the 3m basis
-    scalars, the rows of the cached G, have rank 3m.
+    scalars, the rows of the cached G, have rank 3m.  A layout permutes the
+    columns of G and keeps its rank, so both layouts answer the same.
     """
-    return linalg3.rank(build_code(CodeSpec(spec.m, spec.set_kind)).generators) == 3 * spec.m
+    return linalg3.rank(build_code(spec).generators) == 3 * spec.m
 
 
 def coordinate_permutation(spec: CodeSpec, v: Triple) -> np.ndarray:
@@ -374,9 +375,11 @@ def check_group_action(spec: CodeSpec) -> bool:
     """True iff for every v in L the permutation x -> v x maps the code into itself.
 
     Decided on the 2m + 1 generators of L (defining_set_generators) and
-    the interleaved generator matrix; the spec's layout plays no part.
+    the interleaved generator matrix; ValueError on any other layout.
     """
-    G = build_code(CodeSpec(spec.m, spec.set_kind)).generators
+    if spec.layout != LAYOUT_INTERLEAVED:
+        raise ValueError("the group action certification is defined for the interleaved layout")
+    G = build_code(spec).generators
     slots = np.arange(3)
     perms = (
         (3 * coordinate_permutation(spec, v)[:, None] + slots).reshape(-1)

@@ -1,13 +1,16 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from cubicode.bounds import closed_form_sum_d_plus_1, griesmer, griesmer_sum
 from cubicode.chain_ring import ChainRing, allowed_x1, defining_set, defining_set_generators, get_ring
-from cubicode.gf3m import get_field, trace_form
-from cubicode.spec import KIND_LPRIME, KIND_UNITS, code_length, defining_set_size, require_scope
-from cubicode.trace_code import CodeSpec, get_eval_context
+from cubicode.closed_form import formula_distribution
+from cubicode.gf3m import GF3m, get_field, smallest_irreducible, trace_form
+from cubicode.spec import KIND_LPRIME, KIND_UNITS, SCOPE_MAX_M, code_length, defining_set_size, require_scope
+from cubicode.sss import minimality_report
+from cubicode.trace_code import CodeSpec, build_code, get_eval_context
 from cubicode.weight_dist import enumerate_distribution, gauss_periods, scalar_orbits
 from ring_reference import standard_elements
 
@@ -100,6 +103,10 @@ INTEGER_ENTRY_POINTS = {
     "griesmer_sum d": lambda d: griesmer_sum(3, d),
     "require_scope": lambda m: require_scope("closed form", m),
     "gauss_periods": gauss_periods,
+    "get_field": get_field,
+    "trace_form": trace_form,
+    "smallest_irreducible": smallest_irreducible,
+    "GF3m": GF3m,
 }
 
 
@@ -111,6 +118,26 @@ def test_one_integer_rule_for_degrees(name, bad):
     assert repr(entry(np.int64(2))) == repr(entry(2))
     with pytest.raises(ValueError, match="must be a positive integer"):
         entry(bad)
+
+
+# one entry point per row of spec.SCOPE_MAX_M, each refusing the first degree above its cap
+SCOPE_ENTRY_POINTS = {
+    "extension degree": get_field,
+    "defining set": lambda m: defining_set(m, KIND_UNITS),
+    "Gauss periods": gauss_periods,
+    "closed form": lambda m: formula_distribution(CodeSpec(m)),
+    "codeword table": lambda m: build_code(CodeSpec(m)).codewords(),
+    "minimality census": lambda m: minimality_report(build_code(CodeSpec(m))),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(SCOPE_MAX_M))
+def test_one_refusal_per_scope(scope):
+    assert set(SCOPE_ENTRY_POINTS) == set(SCOPE_MAX_M)
+    cap = SCOPE_MAX_M[scope]
+    message = f"{scope}: supported for m <= {cap}, got m={cap + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SCOPE_ENTRY_POINTS[scope](cap + 1)
 
 
 @pytest.mark.parametrize("cached", [get_field, get_ring])

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicode import gf3m
-from cubicode.gf3m import MAX_DEGREE, GF3m, get_field, smallest_irreducible, trace_form
+from cubicode.gf3m import GF3m, get_field, smallest_irreducible, trace_form
+from cubicode.spec import SCOPE_MAX_M
+
+MAX_DEGREE = SCOPE_MAX_M["extension degree"]
 
 # coefficient tuples (constant term first) of the first monic irreducibles:
 # x, x^2 + 1, x^3 + 2x + 1, x^4 + x + 2, x^5 + 2x + 1, x^6 + x + 2,

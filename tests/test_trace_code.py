@@ -6,6 +6,7 @@ import pytest
 from cubicode import linalg3, trace_code
 from cubicode.bounds import dual_weight_search
 from cubicode.chain_ring import ChainRing, allowed_x1, defining_set, defining_set_generators, get_ring
+from cubicode.spec import KINDS, LAYOUT_BLOCK, LAYOUT_INTERLEAVED, LAYOUTS
 from cubicode.trace_code import (
     CodeSpec,
     EvalContext,
@@ -323,17 +324,33 @@ def test_injectivity(spec):
     assert check_injectivity(spec)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_injectivity_ranks_the_callers_layout(layout, monkeypatch):
+    # a layout permutes the columns of G, so both answer the same, each on its own G
+    seen = []
+
+    def recorded(m, kind, layout):
+        seen.append(layout)
+        return trace_code._generator_matrix(get_eval_context(m, kind), layout)
+
+    monkeypatch.setattr(trace_code, "_cached_generators", recorded)
+    for spec in ALL_SPECS_M2:
+        assert check_injectivity(CodeSpec(spec.m, spec.set_kind, layout))
+    assert seen == [layout] * len(ALL_SPECS_M2)
+
+
 def test_injectivity_negative_controls(monkeypatch):
     def inject(ctx):  # G evaluated over a degenerate context, in place of the cached G
         monkeypatch.setattr(trace_code, "_cached_generators", lambda m, kind, layout: trace_code._generator_matrix(ctx, layout))
 
-    # x1 = 0: every coordinate lies in <u-1>, so the zero divisor
-    # (u-1)^2, nilpotent (0, 0, 1), maps to the zero word
-    inject(EvalContext(1, [0]))
-    assert not check_injectivity(CodeSpec(m=1))
-    # x1 = 1 alone: a = (0, 0, a3) with tr(a3) = 0, a3 != 0, maps to the zero word
-    inject(EvalContext(2, [1]))
-    assert not check_injectivity(CodeSpec(m=2))
+    for layout in LAYOUTS:
+        # x1 = 0: every coordinate lies in <u-1>, so the zero divisor
+        # (u-1)^2, nilpotent (0, 0, 1), maps to the zero word
+        inject(EvalContext(1, [0]))
+        assert not check_injectivity(CodeSpec(m=1, layout=layout))
+        # x1 = 1 alone: a = (0, 0, a3) with tr(a3) = 0, a3 != 0, maps to the zero word
+        inject(EvalContext(2, [1]))
+        assert not check_injectivity(CodeSpec(m=2, layout=layout))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="defining set: supported for m <= 3"):
         check_injectivity(CodeSpec(m=4))
@@ -346,6 +363,14 @@ def test_group_action_exhaustive_m1():
 
 def test_group_action_sampled_m2():
     assert check_group_action(CodeSpec(m=2, set_kind="lprime"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_group_action_is_certified_on_the_interleaved_layout_only(kind):
+    # the set permutation is lifted to interleaved slots, as check_quasicyclic's shift to block ones
+    assert check_group_action(CodeSpec(1, kind, LAYOUT_INTERLEAVED))
+    with pytest.raises(ValueError, match="defined for the interleaved layout"):
+        check_group_action(CodeSpec(1, kind, LAYOUT_BLOCK))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_M2, ids=str)
